@@ -203,9 +203,16 @@ def calibration_for(
     """The calibration tables a configuration's pricing method relies on.
 
     Passing ``contention_parameters`` rebuilds the tables under a
-    recalibrated model fit — the continuous-calibration service's
-    published fits enter the figure pipeline here, via
-    :func:`recalibrated_calibration_for`.
+    recalibrated model fit.  The continuous-calibration service's published
+    fits enter the figure pipeline here::
+
+        from repro.calibrate import fitted_profile
+
+        fitted = fitted_profile(nominal_profile, calibration_config)
+        calibration_for(config, contention_parameters=fitted.contention)
+
+    ``fitted_profile`` falls back to the nominal coefficients when no fit
+    is published or the stored one fails its fingerprint guard.
     """
     return calibrate_cached(
         config.machine,
@@ -215,24 +222,6 @@ def calibration_for(
         engine_config=EngineConfig(epoch_seconds=config.epoch_seconds),
         oracle=oracle_for(config, contention_parameters=contention_parameters),
     )
-
-
-def recalibrated_calibration_for(
-    config: ExperimentConfig, nominal_profile, calibration_config
-) -> CalibrationResult:
-    """Calibration tables under the continuously-calibrated published fit.
-
-    Loads the fit the calibrate service last republished for
-    ``(nominal_profile, calibration_config)`` — falling back to the
-    nominal coefficients when none is published or the entry fails its
-    fingerprint guard — and builds the tables with those parameters.
-    This is the figure-side opt-in: nothing changes for configs that
-    never ask for it.
-    """
-    from repro.calibrate import fitted_profile
-
-    fitted = fitted_profile(nominal_profile, calibration_config)
-    return calibration_for(config, contention_parameters=fitted.contention)
 
 
 #: Figure/table name -> factory for the default ExperimentConfig whose

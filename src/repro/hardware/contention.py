@@ -98,6 +98,71 @@ class SharedResourcePenalty:
         return (hit + miss) / mlp
 
 
+class ContentionResult:
+    """One :meth:`ContentionModel.evaluate_tuples` evaluation, compactly.
+
+    Every :class:`SharedResourcePenalty` of one evaluation carries the same
+    five domain-wide values; only the L3 hit fraction differs per workload.
+    This holds the per-workload hit fractions plus the five shared values
+    once: workload ``w``'s penalty is ``SharedResourcePenalty(w,
+    hit_fractions[w], l3_hit_latency_cycles, memory_latency_cycles,
+    ring_utilization, bandwidth_utilization, private_inflation)``.
+    """
+
+    __slots__ = (
+        "hit_fractions",
+        "l3_hit_latency_cycles",
+        "memory_latency_cycles",
+        "ring_utilization",
+        "bandwidth_utilization",
+        "private_inflation",
+    )
+
+    def __init__(
+        self,
+        hit_fractions: dict[int, float],
+        l3_hit_latency_cycles: float,
+        memory_latency_cycles: float,
+        ring_utilization: float,
+        bandwidth_utilization: float,
+        private_inflation: float,
+    ) -> None:
+        #: Workload id -> fraction of its L3 lookups that hit.
+        self.hit_fractions = hit_fractions
+        self.l3_hit_latency_cycles = l3_hit_latency_cycles
+        self.memory_latency_cycles = memory_latency_cycles
+        self.ring_utilization = ring_utilization
+        self.bandwidth_utilization = bandwidth_utilization
+        self.private_inflation = private_inflation
+
+    def _shared(self) -> tuple:
+        return (
+            self.l3_hit_latency_cycles,
+            self.memory_latency_cycles,
+            self.ring_utilization,
+            self.bandwidth_utilization,
+            self.private_inflation,
+        )
+
+    def reproduces(self, previous: ContentionResult) -> bool:
+        """True when every penalty here equals ``previous``'s for that workload.
+
+        Decides exactly what comparing the two evaluations' penalty maps
+        with :class:`SharedResourcePenalty` equality decides: each workload
+        id here must be present in ``previous`` with an equal hit fraction
+        and equal shared values (workloads only in ``previous`` do not
+        matter, and an empty result trivially reproduces anything).  Like
+        that comparison, it compares values through tuples and dict views,
+        which treat an object as equal to itself.
+        """
+        if not self.hit_fractions:
+            return True
+        return (
+            self.hit_fractions.items() <= previous.hit_fractions.items()
+            and self._shared() == previous._shared()
+        )
+
+
 class ContentionModel:
     """Combines the cache, uncore and memory models for one sharing domain."""
 
@@ -198,118 +263,112 @@ class ContentionModel:
             )
         return penalties
 
-    def evaluate_tuples(
-        self, entries: Sequence[tuple]
-    ) -> dict[int, SharedResourcePenalty]:
-        """Exact, allocation-free replica of :meth:`evaluate`.
+    def evaluate_tuples(self, entries: Sequence[tuple]) -> ContentionResult:
+        """Exact, allocation-light replica of :meth:`evaluate`.
 
         ``entries`` is a sequence of ``(workload_id, l2_miss_rate,
         working_set_mb, solo_l3_hit_fraction, mlp)`` tuples.  The simulation
         engine's fast path sits in a tight per-epoch loop where building one
-        :class:`WorkloadDemand` and one :class:`CacheDemand` per workload per
-        fixed-point iteration dominates; this method performs the identical
-        arithmetic — same operations, same iteration order, bit-identical
-        results (asserted by the fast-path property tests) — on plain tuples.
+        :class:`WorkloadDemand`, one :class:`CacheDemand` and one
+        :class:`SharedResourcePenalty` per workload per fixed-point iteration
+        dominates.  This method performs the identical arithmetic — same
+        operations, same order, bit-identical results (asserted by the
+        fast-path property tests) — on plain tuples and lists indexed by
+        position, and returns one :class:`ContentionResult`: the per-workload
+        hit fractions plus the five values every workload shares.
         Behavioural changes must be made to :meth:`evaluate` (the reference
-        implementation) and mirrored here.
+        implementation) and mirrored here.  ``min``/``max`` are written as
+        the comparisons that return exactly what the builtins return.
         """
         capacity_mb = self._cache.capacity_mb
         utility_exponent = self._cache.utility_exponent
+        rates = [entry[1] for entry in entries]
+        hits = [entry[3] for entry in entries]  # inactive workloads keep solo
 
         # --- SharedCacheModel.allocate, fused -------------------------- #
-        hit_fractions: dict[int, float] = {}
-        active = [e for e in entries if e[1] > 0 and e[2] > 0]
-        if len(active) != len(entries):
-            active_ids = {e[0] for e in active}
-            for workload_id, _, _, solo_hit, _ in entries:
-                if workload_id not in active_ids:
-                    hit_fractions[workload_id] = solo_hit
-
-        # _water_fill on the active workloads.  Shares are computed once per
-        # pass (the reference implementation recomputes the identical
-        # expression in its second loop, so reusing the value is exact), and
-        # each workload's capped need — ``min(working_set, capacity)`` of
-        # the same two floats everywhere — is computed once up front.
-        remaining = {e[0]: e for e in active}
-        allocations: dict[int, float] = {e[0]: 0.0 for e in active}
-        needs: dict[int, float] = {e[0]: min(e[2], capacity_mb) for e in active}
+        # _water_fill on the active workloads, by position.  Shares are
+        # computed once per pass (the reference implementation recomputes
+        # the identical expression in its second loop, so reusing the value
+        # is exact), and each workload's capped need — ``min(working_set,
+        # capacity)`` of the same two floats everywhere — once up front.
+        active = [
+            position
+            for position, entry in enumerate(entries)
+            if entry[1] > 0 and entry[2] > 0
+        ]
+        needs = [
+            capacity_mb if capacity_mb < entry[2] else entry[2] for entry in entries
+        ]
+        allocations = [0.0] * len(entries)
+        remaining = active
         remaining_capacity = capacity_mb
         for _ in range(len(active) + 1):
             if not remaining or remaining_capacity <= 1e-12:
                 break
-            total_rate = sum(e[1] for e in remaining.values())
+            total_rate = sum([rates[position] for position in remaining])
             if total_rate <= 0:
                 break
+            shares = [
+                remaining_capacity * rates[position] / total_rate
+                for position in remaining
+            ]
+            uncapped: list[int] = []
             capped: list[int] = []
-            shares: dict[int, float] = {}
-            for workload_id, entry in remaining.items():
-                share = remaining_capacity * entry[1] / total_rate
-                shares[workload_id] = share
-                if share >= needs[workload_id] - allocations[workload_id]:
-                    capped.append(workload_id)
+            for position, share in zip(remaining, shares):
+                if share >= needs[position] - allocations[position]:
+                    capped.append(position)
+                else:
+                    uncapped.append(position)
             if not capped:
-                for workload_id, share in shares.items():
-                    allocations[workload_id] += share
+                for position, share in zip(remaining, shares):
+                    allocations[position] += share
                 remaining_capacity = 0.0
                 break
-            for workload_id in capped:
-                del remaining[workload_id]
-                need = needs[workload_id]
-                grant = need - allocations[workload_id]
-                allocations[workload_id] = need
+            for position in capped:
+                need = needs[position]
+                grant = need - allocations[position]
+                allocations[position] = need
                 remaining_capacity -= grant
+            remaining = uncapped
 
-        for workload_id, _, _, solo_hit, _ in active:
-            need_mb = needs[workload_id]
+        for position in active:
+            need_mb = needs[position]
             if need_mb <= 0:
-                hit_fractions[workload_id] = solo_hit
                 continue
-            coverage = min(max(allocations[workload_id] / need_mb, 0.0), 1.0)
-            hit_fractions[workload_id] = solo_hit * coverage**utility_exponent
+            coverage = allocations[position] / need_mb
+            if 0.0 > coverage:
+                coverage = 0.0
+            if 1.0 < coverage:
+                coverage = 1.0
+            hits[position] = hits[position] * coverage**utility_exponent
 
         # --- aggregate loads ------------------------------------------- #
-        total_l3_lookups = sum(e[1] for e in entries)
+        total_l3_lookups = sum(rates)
         line_size = self._machine.line_size_bytes
         total_dram_bytes = 0.0
-        for workload_id, rate, _, _, _ in entries:
-            miss_rate = rate * (1.0 - hit_fractions[workload_id])
-            total_dram_bytes += miss_rate * line_size
+        for rate, hit_fraction in zip(rates, hits):
+            total_dram_bytes += rate * (1.0 - hit_fraction) * line_size
 
         ring_load = RingLoad(accesses_per_second=total_l3_lookups)
         memory_load = MemoryLoad(bytes_per_second=total_dram_bytes)
 
         ring = self._ring
         memory = self._memory
-        l3_hit_latency = ring.effective_latency_cycles(ring_load)
-        memory_latency = memory.effective_latency_cycles(memory_load)
         ring_utilization = ring.utilization(ring_load)
         bandwidth_utilization = memory.utilization(memory_load)
-        private_inflation = 1.0 + self._parameters.private_pressure_sensitivity * max(
-            ring_utilization, bandwidth_utilization
+        pressure = (
+            bandwidth_utilization
+            if bandwidth_utilization > ring_utilization
+            else ring_utilization
         )
-
-        # Constructing millions of frozen dataclasses per sweep is the
-        # hottest allocation site in the engine, and ``__init__`` spends its
-        # time routing every field through ``object.__setattr__``.  Building
-        # the instances through ``__dict__`` produces objects
-        # indistinguishable from constructor-built ones (same fields, same
-        # ``__eq__``/``__hash__``/``repr``) at a fifth of the cost.
-        penalties: dict[int, SharedResourcePenalty] = {}
-        new = object.__new__
-        cls = SharedResourcePenalty
-        for workload_id, _, _, _, _ in entries:
-            penalty = new(cls)
-            penalty.__dict__.update(
-                workload_id=workload_id,
-                l3_hit_fraction=hit_fractions[workload_id],
-                l3_hit_latency_cycles=l3_hit_latency,
-                memory_latency_cycles=memory_latency,
-                ring_utilization=ring_utilization,
-                bandwidth_utilization=bandwidth_utilization,
-                private_inflation=private_inflation,
-            )
-            penalties[workload_id] = penalty
-        return penalties
+        return ContentionResult(
+            dict(zip([entry[0] for entry in entries], hits)),
+            ring.effective_latency_cycles(ring_load),
+            memory.effective_latency_cycles(memory_load),
+            ring_utilization,
+            bandwidth_utilization,
+            1.0 + self._parameters.private_pressure_sensitivity * pressure,
+        )
 
     def solo_penalty(self, demand: WorkloadDemand) -> SharedResourcePenalty:
         """Penalties experienced when the workload runs alone on the machine."""

@@ -28,9 +28,9 @@ without changing a single bit of output:
 * **Penalty memoization by runnable-set signature** — when an epoch's
   signature (invocation ids, phase indices, thread occupancies, active
   thread count) matches the previous epoch's and that epoch's fixed point
-  converged exactly, the stored :class:`SharedResourcePenalty` map *is*
-  what the fixed point would recompute, so the contention model is not
-  re-evaluated (:class:`PenaltySignatureCache`).
+  converged exactly, the stored contention result *is* what the fixed
+  point would recompute, so the contention model is not re-evaluated
+  (:class:`PenaltySignatureCache`).
 
 * **Epoch skip-ahead** — inside :meth:`run_for`/:meth:`run_until`, once an
   epoch is stable the engine advances through the provably stable epochs
@@ -41,8 +41,32 @@ without changing a single bit of output:
   epoch-by-epoch loop would have performed on every accumulator, so the
   result is bit-identical, just without re-deriving the per-epoch deltas.
 
-Both paths can be disabled with ``EngineConfig(fast_path=False)``; the
-property tests assert that fast and disabled runs produce identical states.
+Epochs that neither optimization covers are *stepped* one at a time, and
+the fast path makes each of those cheap while doing the same floating-point
+operations as the reference code:
+
+* **Compact contention results** — the fixed point drives
+  :meth:`ContentionModel.evaluate_tuples`, which returns one
+  :class:`ContentionResult` per evaluation (a workload id -> L3 hit
+  fraction map plus the five values all workloads share) instead of one
+  :class:`SharedResourcePenalty` per workload.  Exact convergence is
+  decided by :meth:`ContentionResult.reproduces`, which compares exactly
+  what penalty equality compares.
+
+* **A cached runnable set** — the runnable (invocation, epoch share,
+  occupancy) triples, the busy-thread count and the per-invocation
+  private-execution multipliers change only when a run queue does, which
+  happens in :meth:`submit` and when an invocation finishes; both drop the
+  cache and the next epoch rebuilds it.  Invocations read their current
+  resource profile from ``PhaseCursor.profile``, refreshed on each phase
+  transition.
+
+The fast path can be disabled with ``EngineConfig(fast_path=False)``: that
+reference path collects the runnable set every epoch, derives each profile
+from the phase index and evaluates the contention model through
+:meth:`ContentionModel.evaluate`.  The property tests assert that fast and
+disabled runs produce identical states.
+
 Callers of :meth:`run_until` must pass predicates that only change when an
 invocation starts or finishes (every predicate in this repository does) —
 a predicate watching raw counters or the clock could otherwise observe
@@ -55,7 +79,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.hardware.contention import SharedResourcePenalty, WorkloadDemand
+from repro.hardware.contention import (
+    ContentionResult,
+    SharedResourcePenalty,
+    WorkloadDemand,
+)
 from repro.hardware.cpu import CPU
 from repro.platform.events import Event, EventKind, EventLog
 from repro.platform.invoker import Invocation, InvocationState
@@ -74,6 +102,14 @@ _SPAN_MARGIN_EPOCHS = 2
 #: (invocation id, phase index, thread occupancy) triple per runnable
 #: invocation in collection order).
 RunnableSignature = Tuple[int, Tuple[Tuple[int, int, int], ...]]
+
+#: One epoch's runnable (invocation, epoch share, thread occupancy) triples.
+Runnable = List[Tuple[Invocation, float, int]]
+
+#: The fast path's warm start before any evaluation.  No workload has a hit
+#: fraction in it, so its shared values are never read, and only a result
+#: with no workloads reproduces it — just as with an empty penalty map.
+_NO_CONTENTION = ContentionResult({}, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,21 +145,21 @@ class FastPathStats:
 
 
 class PenaltySignatureCache:
-    """Memoizes converged contention penalties by runnable-set signature.
+    """Memoizes converged contention results by runnable-set signature.
 
-    The fixed point warm-starts from the previous epoch's penalties, so a
-    stored penalty map is provably what the next epoch would recompute only
-    when (a) that map was an *exact* float fixed point (one more iteration
-    reproduces it bit for bit) and (b) the next epoch's signature matches
-    the one it was stored under — i.e. the entry comes from the immediately
-    preceding epoch.  The cache therefore keeps a single entry: any epoch
-    with a different signature overwrites it, which doubles as the
-    invalidation rule.
+    The fixed point warm-starts from the previous epoch's result, so a
+    stored :class:`ContentionResult` is provably what the next epoch would
+    recompute only when (a) it was an *exact* float fixed point (one more
+    iteration reproduces it bit for bit) and (b) the next epoch's signature
+    matches the one it was stored under — i.e. the entry comes from the
+    immediately preceding epoch.  The cache therefore keeps a single entry:
+    any epoch with a different signature overwrites it, which doubles as
+    the invalidation rule.
     """
 
     def __init__(self) -> None:
         self._signature: Optional[RunnableSignature] = None
-        self._penalties: Optional[Dict[int, SharedResourcePenalty]] = None
+        self._result: Optional[ContentionResult] = None
         self._converged = False
         self.hits = 0
         self.misses = 0
@@ -136,29 +172,27 @@ class PenaltySignatureCache:
     def signature(self) -> Optional[RunnableSignature]:
         return self._signature
 
-    def lookup(
-        self, signature: RunnableSignature
-    ) -> Optional[Dict[int, SharedResourcePenalty]]:
-        """Return the stored penalties if reusable for ``signature``."""
-        if self._converged and self._penalties is not None and signature == self._signature:
+    def lookup(self, signature: RunnableSignature) -> Optional[ContentionResult]:
+        """Return the stored result if reusable for ``signature``."""
+        if self._converged and self._result is not None and signature == self._signature:
             self.hits += 1
-            return self._penalties
+            return self._result
         self.misses += 1
         return None
 
     def store(
         self,
         signature: RunnableSignature,
-        penalties: Dict[int, SharedResourcePenalty],
+        result: ContentionResult,
         converged: bool,
     ) -> None:
         self._signature = signature
-        self._penalties = penalties
+        self._result = result
         self._converged = converged
 
     def invalidate(self) -> None:
         self._signature = None
-        self._penalties = None
+        self._result = None
         self._converged = False
 
 
@@ -226,24 +260,25 @@ class SimulationEngine:
         self._invocations: Dict[int, Invocation] = {}
         self._completed: List[Invocation] = []
         self._finish_listeners: List[FinishListener] = []
+        # The reference path's warm start: the previous epoch's penalties.
         self._penalty_cache: Dict[int, SharedResourcePenalty] = {}
         self._event_log = EventLog()
         # Fast-path state.
         self._signature_cache = PenaltySignatureCache()
         self._stats = FastPathStats()
-        self._switch_factor_cache: Dict[int, float] = {}
+        # The previous epoch's contention result: the fixed point's warm
+        # start and, while a stable span runs, the span's penalties.
+        self._warm_start = _NO_CONTENTION
+        # (runnable triples, busy threads, multipliers) until a run queue
+        # changes; ``None`` means the next epoch collects them afresh.
+        self._runnable_set: Optional[Tuple[Runnable, int, Dict[int, float]]] = None
         self._span_ready = False
-        self._last_runnable: List[Tuple[Invocation, float, int]] = []
-        self._last_multipliers: Dict[int, float] = {}
-        self._last_penalties: Dict[int, SharedResourcePenalty] = {}
         self._last_frequency_hz = 0.0
         # Fault-injection hook: multiplies the governed frequency.  1.0 is
         # the healthy fleet and leaves the arithmetic untouched bit-for-bit.
         self._frequency_scale = 1.0
-        # The thread list is fixed for the CPU's lifetime; multiplying by the
-        # SMT sibling penalty is an exact no-op (``x * 1.0``) when SMT is off.
+        # The thread list is fixed for the CPU's lifetime.
         self._threads = cpu.threads
-        self._smt_active = cpu.smt_enabled
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -363,6 +398,7 @@ class SimulationEngine:
         also transitions the invocation to RUNNING.
         """
         self._span_ready = False
+        self._runnable_set = None
         sandbox = Sandbox(
             sandbox_id=self._next_sandbox_id,
             memory_mb=spec.memory_mb,
@@ -400,67 +436,57 @@ class SimulationEngine:
         dt = self._config.epoch_seconds
         now = self._time + dt
         fast = self._config.fast_path
-        runnable, busy_threads = self._collect_runnable(dt)
+        if not fast:
+            runnable_set = self._collect_runnable(dt)
+        elif self._runnable_set is None:
+            runnable_set = self._runnable_set = self._collect_runnable(dt)
+        else:
+            runnable_set = self._runnable_set
+        runnable, busy_threads, multipliers = runnable_set
         if not runnable:
             self._cpu.global_counters.observe(elapsed_seconds=dt)
             self._time = now
             return
 
         # ``busy_threads`` (threads with a non-empty run queue) is exactly
-        # ``CPU.active_thread_count`` — counted here to avoid a second scan.
+        # ``CPU.active_thread_count`` — counted with the runnable set.
         frequency_hz = self._cpu.governor.frequency_hz(busy_threads)
         if self._frequency_scale != 1.0:
             frequency_hz = frequency_hz * self._frequency_scale
-        if fast and not self._smt_active:
-            switch_factor = self._switch_factor
-            multipliers = {
-                invocation.invocation_id: switch_factor(occupancy)
-                for invocation, _, occupancy in runnable
-            }
+        if fast:
+            finished = self._step_fast(
+                runnable, busy_threads, multipliers, frequency_hz, dt, now
+            )
         else:
-            multipliers = {
-                invocation.invocation_id: self._private_multiplier(invocation, occupancy)
-                for invocation, _, occupancy in runnable
-            }
+            finished = self._step(runnable, multipliers, frequency_hz, dt, now)
 
-        # The signature is only needed to look up or store converged
-        # penalties; when the previous epoch did not converge, neither can
-        # happen, so the construction is skipped entirely.
-        signature: Optional[RunnableSignature] = None
-        penalties: Optional[Dict[int, SharedResourcePenalty]] = None
-        converged = False
-        if fast and self._signature_cache.converged:
-            signature = self._runnable_signature(runnable, busy_threads)
-            cached = self._signature_cache.lookup(signature)
-            if cached is not None and self._steady_demands_hold(
-                runnable, cached, multipliers, frequency_hz
-            ):
-                # The previous epoch had the same signature and its penalties
-                # are an exact fixed point, so re-evaluating the contention
-                # model would reproduce them bit for bit.
-                penalties = cached
-                converged = True
-                self._stats.fixed_point_reuses += 1
-        if penalties is None:
-            fixed_point = self._fixed_point_fast if fast else self._fixed_point
-            penalties, converged = fixed_point(runnable, frequency_hz, dt, multipliers)
-            self._stats.fixed_point_evaluations += 1
-            if converged:
-                if signature is None:
-                    signature = self._runnable_signature(runnable, busy_threads)
-                self._signature_cache.store(signature, penalties, converged)
-            else:
-                self._signature_cache.invalidate()
-        self._penalty_cache = penalties if fast else dict(penalties)
+        self._cpu.global_counters.observe(elapsed_seconds=dt)
+        self._time = now
+        for invocation in finished:
+            self._finish(invocation)
 
-        advance = self._advance_invocation_fast if fast else self._advance_invocation
+    def _step(
+        self,
+        runnable: Runnable,
+        multipliers: Dict[int, float],
+        frequency_hz: float,
+        dt: float,
+        now: float,
+    ) -> List[Invocation]:
+        """The reference epoch: fixed point, then advance every invocation.
+
+        Returns the invocations that finished.
+        """
+        penalties, _ = self._fixed_point(runnable, frequency_hz, dt, multipliers)
+        self._stats.fixed_point_evaluations += 1
+        self._penalty_cache = penalties
         finished: List[Invocation] = []
         for invocation, share_seconds, occupancy in runnable:
             penalty = penalties.get(invocation.invocation_id)
             if penalty is None:
                 # The invocation had no current profile (already finished).
                 continue
-            advance(
+            self._advance_invocation(
                 invocation,
                 share_seconds,
                 occupancy,
@@ -477,31 +503,91 @@ class SimulationEngine:
                     self._record_event(EventKind.STARTUP_COMPLETE, invocation, time=now)
             if invocation.cursor.finished:
                 finished.append(invocation)
+        return finished
 
-        self._cpu.global_counters.observe(elapsed_seconds=dt)
-        self._time = now
+    def _step_fast(
+        self,
+        runnable: Runnable,
+        busy_threads: int,
+        multipliers: Dict[int, float],
+        frequency_hz: float,
+        dt: float,
+        now: float,
+    ) -> List[Invocation]:
+        """:meth:`_step` on the fast path; marks the epoch stable if it is.
 
-        if finished:
-            for invocation in finished:
-                self._finish(invocation)
-        elif self._config.fast_path and converged:
-            # The penalties are an exact fixed point and nothing changed the
-            # runnable set this epoch (finish listeners can only fire on
-            # completions, so no submissions happened either).  The fixed
-            # point only carries over if no invocation crossed a phase
-            # boundary while advancing — a new phase means a new resource
-            # profile and therefore new demands.
-            if all(
-                invocation.cursor.phase_index == phase_index
-                for (invocation, _, _), (_, phase_index, _) in zip(
-                    runnable, signature[1]
-                )
+        Returns the invocations that finished.
+        """
+        # The signature is only needed to look up or store converged
+        # results; when the previous epoch did not converge, neither can
+        # happen, so the construction is skipped entirely.
+        cache = self._signature_cache
+        signature: Optional[RunnableSignature] = None
+        result: Optional[ContentionResult] = None
+        converged = False
+        if cache.converged:
+            signature = self._runnable_signature(runnable, busy_threads)
+            cached = cache.lookup(signature)
+            if cached is not None and self._steady_demands_hold(
+                runnable, cached, multipliers, frequency_hz
             ):
-                self._span_ready = True
-                self._last_runnable = runnable
-                self._last_multipliers = multipliers
-                self._last_penalties = penalties
-                self._last_frequency_hz = frequency_hz
+                # The previous epoch had the same signature and its result
+                # is an exact fixed point, so re-evaluating the contention
+                # model would reproduce it bit for bit.
+                result = cached
+                converged = True
+                self._stats.fixed_point_reuses += 1
+        if result is None:
+            result, converged = self._fixed_point_fast(
+                runnable, frequency_hz, dt, multipliers
+            )
+            self._stats.fixed_point_evaluations += 1
+            if converged:
+                if signature is None:
+                    signature = self._runnable_signature(runnable, busy_threads)
+                cache.store(signature, result, converged)
+            else:
+                cache.invalidate()
+        self._warm_start = result
+
+        hit_fractions = result.hit_fractions
+        hit_latency = result.l3_hit_latency_cycles
+        memory_latency = result.memory_latency_cycles
+        inflation = result.private_inflation
+        advance = self._advance_invocation_fast
+        finished: List[Invocation] = []
+        for invocation, share_seconds, occupancy in runnable:
+            hit_fraction = hit_fractions.get(invocation.invocation_id)
+            if hit_fraction is None:
+                # The invocation had no current profile (already finished).
+                continue
+            if advance(
+                invocation,
+                share_seconds * frequency_hz,
+                occupancy,
+                hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency,
+                1.0 - hit_fraction,
+                inflation,
+                multipliers[invocation.invocation_id],
+                frequency_hz,
+                dt,
+                now,
+            ):
+                finished.append(invocation)
+
+        # The result is an exact fixed point and nothing changed the
+        # runnable set this epoch (finish listeners can only fire on
+        # completions, so no submissions happened either).  The fixed point
+        # only carries over if no invocation crossed a phase boundary while
+        # advancing — a new phase means a new resource profile and
+        # therefore new demands.
+        if not finished and converged and all(
+            invocation.cursor.phase_index == phase_index
+            for (invocation, _, _), (_, phase_index, _) in zip(runnable, signature[1])
+        ):
+            self._span_ready = True
+            self._last_frequency_hz = frequency_hz
+        return finished
 
     def run_for(self, seconds: float) -> None:
         """Advance the simulation by (at least) ``seconds``."""
@@ -556,8 +642,8 @@ class SimulationEngine:
 
     def _steady_demands_hold(
         self,
-        runnable: Sequence[Tuple[Invocation, float, int]],
-        penalties: Dict[int, SharedResourcePenalty],
+        runnable: Runnable,
+        result: ContentionResult,
         multipliers: Dict[int, float],
         frequency_hz: float,
     ) -> bool:
@@ -567,25 +653,30 @@ class SimulationEngine:
         state only when its remaining instructions start binding the
         ``min()`` in :meth:`_fixed_point` — i.e. in its final epoch.  The
         check recomputes the per-epoch instruction intake from the cached
-        penalties with the exact arithmetic the fixed point uses.
+        result with the exact arithmetic the fixed point uses.
         """
+        hit_fractions = result.hit_fractions
+        hit_latency = result.l3_hit_latency_cycles
+        memory_latency = result.memory_latency_cycles
+        inflation = result.private_inflation
         for invocation, share_seconds, occupancy in runnable:
-            profile = invocation.cursor.current_profile
+            cursor = invocation.cursor
+            profile = cursor.profile
             if profile is None:
                 return False
-            penalty = penalties.get(invocation.invocation_id)
-            if penalty is None:
+            hit_fraction = hit_fractions.get(invocation.invocation_id)
+            if hit_fraction is None:
                 return False
             stall_per_inst = (profile.l2_mpki / 1000.0) * (
-                penalty.stall_cycles_per_l2_miss(profile.mlp)
+                (hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency)
+                / profile.mlp
             )
             cpi_effective = (
-                profile.cpi_base
-                * penalty.private_inflation
-                * multipliers[invocation.invocation_id]
-            ) + stall_per_inst
+                profile.cpi_base * inflation * multipliers[invocation.invocation_id]
+                + stall_per_inst
+            )
             possible = share_seconds * frequency_hz / cpi_effective
-            if possible > invocation.cursor.instructions_remaining:
+            if possible > cursor.instructions_remaining:
                 return False
         return True
 
@@ -597,20 +688,25 @@ class SimulationEngine:
         re-derivation of per-epoch deltas (contention fixed point, CPI,
         phase lookups).  Stops ``_SPAN_MARGIN_EPOCHS`` short of the nearest
         phase boundary so boundary crossings — completions, probe-window
-        edges, churn resubmissions — happen on the exact path.
+        edges, churn resubmissions — happen on the exact path.  The stable
+        epoch left its runnable set cached and its result as the warm start.
         """
         dt = self._config.epoch_seconds
         frequency_hz = self._last_frequency_hz
-        penalties = self._last_penalties
-        multipliers = self._last_multipliers
+        runnable, _, multipliers = self._runnable_set
+        result = self._warm_start
+        hit_fractions = result.hit_fractions
+        hit_latency = result.l3_hit_latency_cycles
+        memory_latency = result.memory_latency_cycles
+        inflation = result.private_inflation
 
         states: List[_SpanInvocationState] = []
         max_epochs: Optional[int] = None
-        for invocation, share_seconds, occupancy in self._last_runnable:
+        for invocation, share_seconds, occupancy in runnable:
             cursor = invocation.cursor
-            profile = cursor.current_profile
-            penalty = penalties.get(invocation.invocation_id)
-            if profile is None or penalty is None:
+            profile = cursor.profile
+            hit_fraction = hit_fractions.get(invocation.invocation_id)
+            if profile is None or hit_fraction is None:
                 return
             if (
                 not invocation.is_traffic_generator
@@ -622,12 +718,11 @@ class SimulationEngine:
             if budget_cycles <= 1.0:
                 return
             stall_per_instruction = (profile.l2_mpki / 1000.0) * (
-                penalty.stall_cycles_per_l2_miss(profile.mlp)
+                (hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency)
+                / profile.mlp
             )
             cpi_private = (
-                profile.cpi_base
-                * penalty.private_inflation
-                * multipliers[invocation.invocation_id]
+                profile.cpi_base * inflation * multipliers[invocation.invocation_id]
             )
             cpi_effective = cpi_private + stall_per_instruction
             retired = budget_cycles / cpi_effective
@@ -651,7 +746,7 @@ class SimulationEngine:
                     cycles=cycles,
                     stall=retired * stall_per_instruction,
                     l2=l2,
-                    l3=l2 * (1.0 - penalty.l3_hit_fraction),
+                    l3=l2 * (1.0 - hit_fraction),
                     occupied_seconds=cycles / frequency_hz,
                     has_switch=occupancy > 1,
                     occupancy=occupancy,
@@ -729,11 +824,9 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _collect_runnable(
-        self, dt: float
-    ) -> Tuple[List[Tuple[Invocation, float, int]], int]:
-        """Runnable (invocation, epoch share, occupancy) triples + busy threads."""
-        runnable: List[Tuple[Invocation, float, int]] = []
+    def _collect_runnable(self, dt: float) -> Tuple[Runnable, int, Dict[int, float]]:
+        """Runnable triples, busy-thread count and private multipliers."""
+        runnable: Runnable = []
         busy_threads = 0
         invocations = self._invocations
         running = InvocationState.RUNNING
@@ -747,19 +840,15 @@ class SimulationEngine:
                 invocation = invocations[invocation_id]
                 if invocation.state is running:
                     runnable.append((invocation, share, occupancy))
-        return runnable, busy_threads
-
-    def _switch_factor(self, occupancy: int) -> float:
-        """Memoized ``SwitchingOverheadModel.factor`` (it is pure)."""
-        factor = self._switch_factor_cache.get(occupancy)
-        if factor is None:
-            factor = self._switching_overhead.factor(occupancy)
-            self._switch_factor_cache[occupancy] = factor
-        return factor
+        multipliers = {
+            invocation.invocation_id: self._private_multiplier(invocation, occupancy)
+            for invocation, _, occupancy in runnable
+        }
+        return runnable, busy_threads, multipliers
 
     def _private_multiplier(self, invocation: Invocation, occupancy: int) -> float:
         """Private-execution inflation from temporal sharing and SMT."""
-        multiplier = self._switch_factor(occupancy)
+        multiplier = self._switching_overhead.factor(occupancy)
         if invocation.thread_id is not None:
             multiplier *= self._cpu.smt_private_penalty(invocation.thread_id)
         return multiplier
@@ -831,52 +920,58 @@ class SimulationEngine:
 
     def _fixed_point_fast(
         self,
-        runnable: Sequence[Tuple[Invocation, float, int]],
+        runnable: Runnable,
         frequency_hz: float,
         dt: float,
         multipliers: Dict[int, float],
-    ) -> Tuple[Dict[int, SharedResourcePenalty], bool]:
+    ) -> Tuple[ContentionResult, bool]:
         """Bit-identical replica of :meth:`_fixed_point` with hoisted state.
 
         Per-invocation values that cannot change across iterations (profile
         fields, cycle budget, remaining instructions, multiplier) are read
         once per epoch instead of once per iteration, and the contention
         model is driven through :meth:`ContentionModel.evaluate_tuples`
-        instead of per-iteration ``WorkloadDemand`` construction.  Every
-        arithmetic expression keeps the reference implementation's operand
-        order.  Behavioural changes go into :meth:`_fixed_point` first.
+        instead of per-iteration ``WorkloadDemand`` construction; the
+        penalties are one :class:`ContentionResult`, and
+        :meth:`ContentionResult.reproduces` decides exact convergence.
+        Every arithmetic expression keeps the reference implementation's
+        operand order.  Behavioural changes go into :meth:`_fixed_point`
+        first.
         """
         machine = self._cpu.machine
-        l3_latency = machine.l3.latency_cycles
-        memory_latency = machine.memory_latency_cycles
+        solo_hit_latency = machine.l3.latency_cycles
+        solo_memory_latency = machine.memory_latency_cycles
         rows = []
         for invocation, share_seconds, occupancy in runnable:
-            profile = invocation.cursor.current_profile
+            cursor = invocation.cursor
+            profile = cursor.profile
             if profile is None:
                 continue
+            l2_mpki = profile.l2_mpki
             rows.append(
                 (
                     invocation.invocation_id,
                     profile,
-                    profile.l2_mpki,
-                    profile.l2_mpki / 1000.0,
+                    l2_mpki,
+                    l2_mpki / 1000.0,
                     profile.mlp,
                     profile.cpi_base,
                     multipliers[invocation.invocation_id],
                     share_seconds * frequency_hz,
-                    invocation.cursor.instructions_remaining,
+                    cursor.instructions_remaining,
                     profile.working_set_mb,
                     profile.solo_l3_hit_fraction,
                 )
             )
-        # Read-only warm start: the loop rebinds ``penalties`` to a fresh
-        # dict from ``evaluate_tuples``, so no copy is needed.
-        penalties: Dict[int, SharedResourcePenalty] = self._penalty_cache
-        initial: Dict[int, SharedResourcePenalty] = penalties
+        initial = self._warm_start
+        result = initial
         evaluate_tuples = self._cpu.contention.evaluate_tuples
         for _ in range(self._config.fixed_point_iterations):
+            lookup = result.hit_fractions.get
+            hit_latency = result.l3_hit_latency_cycles
+            memory_latency = result.memory_latency_cycles
+            inflation = result.private_inflation
             demands = []
-            lookup = penalties.get
             for (
                 workload_id,
                 profile,
@@ -890,74 +985,74 @@ class SimulationEngine:
                 working_set_mb,
                 solo_hit,
             ) in rows:
-                penalty = lookup(workload_id)
-                if penalty is None:
+                hit_fraction = lookup(workload_id)
+                if hit_fraction is None:
                     stall_per_inst = profile.solo_stall_cycles_per_instruction(
-                        l3_latency, memory_latency
+                        solo_hit_latency, solo_memory_latency
                     )
                     private_inflation = 1.0
                 else:
-                    hit_fraction = penalty.l3_hit_fraction
                     stall_per_inst = mpki_per_inst * (
-                        (
-                            hit_fraction * penalty.l3_hit_latency_cycles
-                            + (1.0 - hit_fraction) * penalty.memory_latency_cycles
-                        )
+                        (hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency)
                         / mlp
                     )
-                    private_inflation = penalty.private_inflation
+                    private_inflation = inflation
                 cpi_effective = cpi_base * private_inflation * multiplier + stall_per_inst
-                instructions = min(cycles_available / cpi_effective, remaining)
-                l2_miss_rate = instructions * l2_mpki / 1000.0 / dt
+                # min(possible, remaining), as the builtin resolves it.
+                instructions = cycles_available / cpi_effective
+                if remaining < instructions:
+                    instructions = remaining
                 demands.append(
-                    (workload_id, l2_miss_rate, working_set_mb, solo_hit, mlp)
+                    (
+                        workload_id,
+                        instructions * l2_mpki / 1000.0 / dt,
+                        working_set_mb,
+                        solo_hit,
+                        mlp,
+                    )
                 )
-            penalties = evaluate_tuples(demands)
-        converged = all(
-            initial.get(workload_id) == penalty
-            for workload_id, penalty in penalties.items()
-        )
-        return penalties, converged
+            result = evaluate_tuples(demands)
+        return result, result.reproduces(initial)
 
     def _advance_invocation_fast(
         self,
         invocation: Invocation,
-        share_seconds: float,
+        budget_cycles: float,
         occupancy: int,
-        penalty: SharedResourcePenalty,
+        hit_term: float,
+        miss_fraction: float,
+        inflation: float,
+        multiplier: float,
         frequency_hz: float,
         dt: float,
-        multiplier: float,
-    ) -> None:
+        now: float,
+    ) -> bool:
         """Bit-identical replica of :meth:`_advance_invocation`.
 
-        Hoists loop-invariant penalty terms and accumulates the performance
-        counters with direct attribute additions (``PMUCounters.observe``
-        validates seven already-non-negative values per call, which is pure
-        overhead on this path).  The addition order per accumulator matches
-        the reference implementation exactly.  Behavioural changes go into
-        :meth:`_advance_invocation` first.
+        Takes the epoch's cycle budget and the penalty terms the caller
+        derived once per invocation (``hit_term`` is the hit-latency-weighted
+        sum :meth:`SharedResourcePenalty.stall_cycles_per_l2_miss` divides by
+        the MLP), accumulates the performance counters with direct attribute
+        additions (``PMUCounters.observe`` validates seven already
+        non-negative values per call, which is pure overhead on this path),
+        and records the end of the probe window as the caller of the
+        reference implementation does.  The addition order per accumulator
+        matches the reference implementation exactly.  Behavioural changes
+        go into :meth:`_advance_invocation` first.  Returns whether the
+        invocation finished.
         """
         cursor = invocation.cursor
-        budget_cycles = share_seconds * frequency_hz
         total_cycles = 0.0
         total_instructions = 0.0
         total_stall = 0.0
         total_l2 = 0.0
         total_l3 = 0.0
-
-        hit_term = (
-            penalty.l3_hit_fraction * penalty.l3_hit_latency_cycles
-            + (1.0 - penalty.l3_hit_fraction) * penalty.memory_latency_cycles
-        )
-        inflation = penalty.private_inflation
-        miss_fraction = 1.0 - penalty.l3_hit_fraction
         watch_startup = (
             not invocation.is_traffic_generator and not invocation.startup_recorded
         )
 
-        while budget_cycles > 1.0 and not cursor.finished:
-            profile = cursor.current_profile
+        profile = cursor.profile
+        while budget_cycles > 1.0 and profile is not None:
             stall_per_instruction = (profile.l2_mpki / 1000.0) * (hit_term / profile.mlp)
             cpi_effective = (
                 profile.cpi_base * inflation * multiplier + stall_per_instruction
@@ -975,6 +1070,7 @@ class SimulationEngine:
             budget_cycles -= cycles
             if watch_startup and cursor.startup_complete:
                 break
+            profile = cursor.profile
 
         occupied_seconds = total_cycles / frequency_hz
         counters = invocation.counters
@@ -996,6 +1092,11 @@ class SimulationEngine:
         # Inlined observe_occupancy (occupancy >= 1 and dt > 0 by construction).
         invocation._occupancy_weighted_sum += occupancy * dt
         invocation._occupancy_weight += dt
+
+        if watch_startup and cursor.startup_complete:
+            invocation.record_startup_completion(now, global_counters.snapshot())
+            self._record_event(EventKind.STARTUP_COMPLETE, invocation, time=now)
+        return cursor.profile is None
 
     def _advance_invocation(
         self,
@@ -1073,6 +1174,7 @@ class SimulationEngine:
 
     def _finish(self, invocation: Invocation) -> None:
         self._span_ready = False
+        self._runnable_set = None
         thread_id = invocation.thread_id
         if thread_id is not None:
             self._cpu.thread(thread_id).dequeue(invocation.invocation_id)

@@ -10,6 +10,7 @@ into the full scenario-spec schema.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -68,6 +69,19 @@ def get_str(
     return value
 
 
+def _finite(value: Any, field: str) -> float:
+    """``value`` as a finite float; NaN, infinities and huge ints fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        fail(field, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        fail(field, f"expected a finite number, got {value!r}")
+    return number
+
+
 def get_number(
     table: Mapping[str, Any],
     key: str,
@@ -80,13 +94,11 @@ def get_number(
         if default is _REQUIRED:
             fail(path, f"missing required key {key!r}")
         return default
-    value = table[key]
     field = f"{path}.{key}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        fail(field, f"expected a number, got {value!r}")
+    value = _finite(table[key], field)
     if positive and value <= 0:
-        fail(field, f"expected a positive number, got {value!r}")
-    return float(value)
+        fail(field, f"expected a positive number, got {table[key]!r}")
+    return value
 
 
 def get_int(
@@ -171,12 +183,11 @@ def get_number_list(
         return default
     result: List[float] = []
     for position, item in enumerate(_get_list(table, key, path)):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or item < minimum:
-            fail(
-                f"{path}.{key}[{position}]",
-                f"expected a number >= {minimum:g}, got {item!r}",
-            )
-        result.append(float(item))
+        field = f"{path}.{key}[{position}]"
+        value = _finite(item, field)
+        if value < minimum:
+            fail(field, f"expected a number >= {minimum:g}, got {item!r}")
+        result.append(value)
     return result
 
 

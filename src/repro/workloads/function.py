@@ -7,8 +7,8 @@ followed by the function's body phases, so the first part of every
 invocation is the Litmus-probe window.
 
 A :class:`PhaseCursor` tracks an in-flight invocation's progress through the
-phase list; the platform engine advances it by instruction counts and asks
-it for the current resource profile each epoch.
+phase list; the platform engine advances it by instruction counts and reads
+the current resource profile each epoch.
 """
 
 from __future__ import annotations
@@ -112,7 +112,15 @@ class FunctionSpec:
 
 
 class PhaseCursor:
-    """Tracks an invocation's progress through its function's phases."""
+    """Tracks an invocation's progress through its function's phases.
+
+    ``profile`` is the current phase's resource profile (``None`` once
+    finished), kept in an attribute that :meth:`advance` refreshes on each
+    phase transition so the engine's fast path reads it without a lookup.
+    :attr:`current_profile` derives the same value from the phase index and
+    is what the engine's reference path uses.  Treat ``profile`` as
+    read-only.
+    """
 
     def __init__(self, spec: FunctionSpec) -> None:
         self._spec = spec
@@ -123,6 +131,9 @@ class PhaseCursor:
         self._phase_index = 0
         self._instructions_into_phase = 0.0
         self._instructions_retired = 0.0
+        self.profile: Optional[ResourceProfile] = (
+            self._phases[0].profile if self._phases else None
+        )
 
     @property
     def spec(self) -> FunctionSpec:
@@ -143,7 +154,9 @@ class PhaseCursor:
 
     @property
     def instructions_remaining(self) -> float:
-        return max(self._total_instructions - self._instructions_retired, 0.0)
+        # max(remaining, 0.0), as the builtin resolves it.
+        remaining = self._total_instructions - self._instructions_retired
+        return 0.0 if 0.0 > remaining else remaining
 
     @property
     def current_phase(self) -> Optional[ExecutionPhase]:
@@ -205,14 +218,20 @@ class PhaseCursor:
         """
         if instructions < 0:
             raise ValueError("instructions must be >= 0")
-        if self.finished:
+        index = self._phase_index
+        if index >= self._phase_count:
             return 0.0
-        phase = self._phases[self._phase_index]
+        phase = self._phases[index]
         available = phase.instructions - self._instructions_into_phase
-        retired = min(instructions, available)
+        # min(instructions, available), as the builtin resolves it.
+        retired = available if available < instructions else instructions
         self._instructions_into_phase += retired
         self._instructions_retired += retired
         if self._instructions_into_phase >= phase.instructions - 1e-9:
-            self._phase_index += 1
+            index += 1
+            self._phase_index = index
             self._instructions_into_phase = 0.0
+            self.profile = (
+                self._phases[index].profile if index < self._phase_count else None
+            )
         return retired

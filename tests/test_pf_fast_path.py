@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.contention import SharedResourcePenalty
+from repro.hardware.contention import ContentionResult
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.engine import (
@@ -14,10 +14,9 @@ from repro.platform.scheduler import DedicatedCoreScheduler
 from repro.workloads.registry import default_registry
 
 
-def _penalty(workload_id: int, hit: float = 0.5) -> SharedResourcePenalty:
-    return SharedResourcePenalty(
-        workload_id=workload_id,
-        l3_hit_fraction=hit,
+def _result(*workload_ids: int, hit: float = 0.5) -> ContentionResult:
+    return ContentionResult(
+        {workload_id: hit for workload_id in workload_ids},
         l3_hit_latency_cycles=40.0,
         memory_latency_cycles=220.0,
         ring_utilization=0.1,
@@ -39,30 +38,30 @@ class TestPenaltySignatureCache:
 
     def test_hit_requires_convergence(self):
         cache = PenaltySignatureCache()
-        penalties = {0: _penalty(0), 1: _penalty(1)}
-        cache.store(_SIG_A, penalties, converged=False)
+        result = _result(0, 1)
+        cache.store(_SIG_A, result, converged=False)
         assert cache.lookup(_SIG_A) is None
-        cache.store(_SIG_A, penalties, converged=True)
-        assert cache.lookup(_SIG_A) is penalties
+        cache.store(_SIG_A, result, converged=True)
+        assert cache.lookup(_SIG_A) is result
         assert cache.hits == 1
 
     def test_signature_mismatch_misses(self):
         cache = PenaltySignatureCache()
-        cache.store(_SIG_A, {0: _penalty(0)}, converged=True)
+        cache.store(_SIG_A, _result(0), converged=True)
         assert cache.lookup(_SIG_B) is None
 
     def test_store_overwrites_previous_entry(self):
         # The cache deliberately keeps one entry: an entry is only provably
         # reusable when the immediately preceding epoch produced it.
         cache = PenaltySignatureCache()
-        cache.store(_SIG_A, {0: _penalty(0)}, converged=True)
-        cache.store(_SIG_B, {0: _penalty(0, hit=0.4)}, converged=True)
+        cache.store(_SIG_A, _result(0), converged=True)
+        cache.store(_SIG_B, _result(0, hit=0.4), converged=True)
         assert cache.lookup(_SIG_A) is None
         assert cache.lookup(_SIG_B) is not None
 
     def test_invalidate(self):
         cache = PenaltySignatureCache()
-        cache.store(_SIG_A, {0: _penalty(0)}, converged=True)
+        cache.store(_SIG_A, _result(0), converged=True)
         cache.invalidate()
         assert not cache.converged
         assert cache.lookup(_SIG_A) is None

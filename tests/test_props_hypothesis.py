@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -12,14 +13,21 @@ from repro.core.regression import (
     log_interpolation_weight,
 )
 from repro.hardware.cache import CacheDemand, SharedCacheModel
-from repro.hardware.contention import ContentionModel, WorkloadDemand
+from repro.hardware.contention import (
+    ContentionModel,
+    SharedResourcePenalty,
+    WorkloadDemand,
+)
 from repro.hardware.cpu import CPU
 from repro.hardware.memory import MemoryBandwidthModel, MemoryLoad
 from repro.hardware.pmu import PMUCounters
 from repro.hardware.topology import CASCADE_LAKE_5218
+from repro.platform.churn import ChurnManager
 from repro.platform.engine import EngineConfig, SimulationEngine
 from repro.platform.scheduler import LeastOccupancyScheduler, SwitchingOverheadModel
 from repro.workloads.registry import default_registry
+from repro.workloads.synthetic import WorkloadMixer
+from repro.workloads.traffic import ct_gen
 
 _MODEL = ContentionModel(CASCADE_LAKE_5218)
 
@@ -254,25 +262,54 @@ submission_schedules = st.lists(
 )
 
 
-def _run_schedule(schedule, fast_path):
-    cpu = CPU(CASCADE_LAKE_5218)
+#: Frequency multiplier of the drawn mid-run throttle.
+_THROTTLE_SCALE = 0.5
+
+
+def _run_schedule(
+    schedule, fast_path, *, churn=False, generator=False, smt=False, throttle_epoch=None
+):
+    """Run ``schedule`` on a fresh engine, optionally with the events that
+    drop or bypass the fast path's caches: churn resubmitting from a finish
+    listener in the same epoch, a traffic-generator thread, SMT sibling
+    penalties and a mid-run frequency change."""
+    cpu = CPU(CASCADE_LAKE_5218, smt_enabled=smt)
+    # With SMT on, threads n and n + 16 are siblings: three sibling pairs.
+    threads = [0, 1, 2, 16, 17, 18] if smt else list(range(6))
     engine = SimulationEngine(
         cpu,
-        LeastOccupancyScheduler(allowed_threads=list(range(6)), max_per_thread=8),
+        LeastOccupancyScheduler(allowed_threads=threads, max_per_thread=8),
         config=EngineConfig(fast_path=fast_path),
     )
+    if generator:
+        engine.submit(ct_gen(1).thread_specs()[0], thread_id=8, tags={"role": "generator"})
+    if churn:
+        mixer = WorkloadMixer(_PROP_SPECS, seed=7)
+        ChurnManager(mixer, target_count=2, thread_ids=threads).attach(engine)
     dt = engine.config.epoch_seconds
-    submitted = []
     current_epoch = 0
-    for spec_index, submit_epoch, thread_id in sorted(
+
+    def run_to(epoch):
+        nonlocal current_epoch
+        if epoch > current_epoch:
+            engine.run_for((epoch - current_epoch) * dt)
+            current_epoch = epoch
+
+    submitted = []
+    for spec_index, submit_epoch, thread_index in sorted(
         schedule, key=lambda item: item[1]
     ):
-        if submit_epoch > current_epoch:
-            engine.run_for((submit_epoch - current_epoch) * dt)
-            current_epoch = submit_epoch
+        if throttle_epoch is not None and throttle_epoch <= submit_epoch:
+            run_to(throttle_epoch)
+            engine.set_frequency_scale(_THROTTLE_SCALE)
+            throttle_epoch = None
+        run_to(submit_epoch)
         submitted.append(
-            engine.submit(_PROP_SPECS[spec_index], thread_id=thread_id % 6)
+            engine.submit(_PROP_SPECS[spec_index], thread_id=threads[thread_index % 6])
         )
+    if throttle_epoch is not None:
+        run_to(throttle_epoch)
+        engine.set_frequency_scale(_THROTTLE_SCALE)
     finished = engine.run_until(
         lambda eng: all(invocation.is_completed for invocation in submitted),
         max_seconds=120.0,
@@ -281,18 +318,28 @@ def _run_schedule(schedule, fast_path):
     return engine, submitted
 
 
-@given(submission_schedules)
-@settings(max_examples=12, deadline=None)
-def test_fast_path_bit_identical_to_epoch_stepping(schedule):
+@given(
+    submission_schedules,
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.none() | st.integers(min_value=0, max_value=30),
+)
+@settings(max_examples=16, deadline=None)
+def test_fast_path_bit_identical_to_epoch_stepping(
+    schedule, churn, generator, smt, throttle_epoch
+):
     """Skip-ahead + penalty memoization must not change one bit of state."""
-    fast_engine, fast_invocations = _run_schedule(schedule, fast_path=True)
-    slow_engine, slow_invocations = _run_schedule(schedule, fast_path=False)
+    options = dict(churn=churn, generator=generator, smt=smt, throttle_epoch=throttle_epoch)
+    fast_engine, fast_invocations = _run_schedule(schedule, True, **options)
+    slow_engine, slow_invocations = _run_schedule(schedule, False, **options)
 
     assert fast_engine.time_seconds == slow_engine.time_seconds
     assert (
         fast_engine.cpu.global_counters.snapshot()
         == slow_engine.cpu.global_counters.snapshot()
     )
+    assert fast_engine.event_log.all() == slow_engine.event_log.all()
     for fast, slow in zip(fast_invocations, slow_invocations):
         assert fast.invocation_id == slow.invocation_id
         assert fast.start_time == slow.start_time
@@ -305,15 +352,34 @@ def test_fast_path_bit_identical_to_epoch_stepping(schedule):
             == slow.machine_counters_at_startup_end
         )
         assert fast.mean_thread_occupancy == slow.mean_thread_occupancy
+    # Churn and generator invocations too, finished or still running.
+    for group in ("completed_invocations", "active_invocations"):
+        fast_group = getattr(fast_engine, group)()
+        slow_group = getattr(slow_engine, group)()
+        assert [i.invocation_id for i in fast_group] == [i.invocation_id for i in slow_group]
+        for fast, slow in zip(fast_group, slow_group):
+            assert fast.counters.snapshot() == slow.counters.snapshot()
 
 
 # --------------------------------------------------------------------- #
 # Fused contention evaluation == reference evaluation, bit for bit
 # --------------------------------------------------------------------- #
-@given(workload_demands)
-@settings(max_examples=40, deadline=None)
-def test_evaluate_tuples_matches_evaluate(raw):
-    demands = [
+#: Like ``workload_demands``, but zero rates and zero working sets are
+#: frequent, so the water-fill's inactive-workload branch is exercised.
+contention_entries = st.lists(
+    st.tuples(
+        st.just(0.0) | st.floats(min_value=0.0, max_value=5e8),
+        st.just(0.0) | st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0, max_value=10.0),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _demands(raw):
+    return [
         WorkloadDemand(
             workload_id=index,
             l2_miss_rate=rate,
@@ -323,12 +389,64 @@ def test_evaluate_tuples_matches_evaluate(raw):
         )
         for index, (rate, ws, hit, mlp) in enumerate(raw)
     ]
-    entries = [
+
+
+def _entries(demands):
+    return [
         (d.workload_id, d.l2_miss_rate, d.working_set_mb, d.solo_l3_hit_fraction, d.mlp)
         for d in demands
     ]
+
+
+def _penalty(result, workload_id):
+    """The full penalty a compact contention result gives one workload."""
+    return SharedResourcePenalty(
+        workload_id,
+        result.hit_fractions[workload_id],
+        result.l3_hit_latency_cycles,
+        result.memory_latency_cycles,
+        result.ring_utilization,
+        result.bandwidth_utilization,
+        result.private_inflation,
+    )
+
+
+def _bits(penalty):
+    """A penalty's fields with every float as its exact bit pattern."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(penalty)
+    )
+
+
+@given(contention_entries)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_tuples_matches_evaluate(raw):
+    demands = _demands(raw)
     reference = _MODEL.evaluate(demands)
-    fused = _MODEL.evaluate_tuples(entries)
-    assert set(fused) == set(reference)
+    result = _MODEL.evaluate_tuples(_entries(demands))
+    assert set(result.hit_fractions) == set(reference)
     for workload_id, penalty in reference.items():
-        assert fused[workload_id] == penalty
+        assert _bits(_penalty(result, workload_id)) == _bits(penalty)
+
+
+@given(contention_entries, contention_entries, st.integers(min_value=0, max_value=16))
+@settings(max_examples=60, deadline=None)
+def test_reproduces_decides_like_penalty_equality(raw_a, raw_b, overlap):
+    """Convergence on compact results == comparing the penalty maps."""
+    # ``raw_b`` shares a prefix of ``raw_a``'s workloads (same ids, same
+    # demands) so equal results occur, not just disjoint ones.
+    raw_b = raw_a[:overlap] + raw_b
+    previous = _MODEL.evaluate_tuples(_entries(_demands(raw_a)))
+    current = _MODEL.evaluate_tuples(_entries(_demands(raw_b)))
+    previous_penalties = {i: _penalty(previous, i) for i in previous.hit_fractions}
+    current_penalties = {i: _penalty(current, i) for i in current.hit_fractions}
+    for newer, older, older_penalties in (
+        (current, previous, previous_penalties),
+        (previous, current, current_penalties),
+    ):
+        expected = all(
+            older_penalties.get(i) == _penalty(newer, i) for i in newer.hit_fractions
+        )
+        assert newer.reproduces(older) == expected
+    assert previous.reproduces(previous)

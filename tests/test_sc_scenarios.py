@@ -114,6 +114,20 @@ class TestSchemaErrors:
                 'name = "x"\n[mixes.unused]\nfunctions = ["bfs-py"]',
                 "never used",
             ),
+            # TOML allows nan and inf; no numeric field accepts them.
+            ('name = "x"\n[sweep]\nhorizon_seconds = nan', r"sweep\.horizon_seconds: .*finite"),
+            ('name = "x"\n[sweep]\nhorizon_seconds = inf', r"sweep\.horizon_seconds: .*finite"),
+            (
+                'name = "x"\n[grid]\nmixes = ["m"]\n'
+                '[mixes.m]\nfunctions = ["bfs-py", "float-py"]\nweights = [nan, 1.0]',
+                r"mixes\.m\.weights\[0\]: .*finite",
+            ),
+            (
+                'name = "x"\n[[faults]]\ntype = "freq-throttle"\nfactor = nan',
+                r"faults\[0\]\.factor: .*finite",
+            ),
+            # An integer too large for a float is not finite either.
+            ('name = "x"\n[sweep]\nhorizon_seconds = 1' + "0" * 400, "finite"),
         ],
     )
     def test_error_names_field(self, text, fragment):
