@@ -31,6 +31,18 @@ float rounding noise — the property tests assert agreement at rtol=1e-9.
 The backend is *not* bit-exact (summation orders differ at a few points by
 design); the committed ``results/*.txt`` stay on the scalar engine.
 
+A small fleet is bound by NumPy's per-call overhead (about a microsecond a
+call at 73 lanes), not by arithmetic, so an epoch keeps its call count
+low: each invocation's float state is one column of one block
+(``_state``), gathered with one ``take`` and written back with one
+scatter; phase profiles come from one flat table with one ``take``; an
+advancement pass gathers and scatters its lanes once; the machine
+counters fold in one offset ``np.bincount``.  The utility-curve ``pow``
+runs once per distinct coverage value (about 48 of 73 lanes in the
+stream-billing benchmark, 327 of 5,760 in fleet-sweep, where per-lane
+``pow`` would cost 5,760 libm calls).  docs/backends.md gives measured
+per-epoch costs.
+
 Limitations (gated with explicit errors): SMT sharing domains and
 event-log recording are not supported; randomness must live outside the
 engine, exactly as with the scalar engine.
@@ -40,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -53,15 +66,16 @@ from repro.platform.sandbox import Sandbox
 from repro.platform.scheduler import SwitchingOverheadModel
 from repro.workloads.function import FunctionSpec
 
-#: Counter fields shared by the per-invocation and per-machine accumulators.
-_COUNTER_FIELDS = (
-    "cycles",
-    "instructions",
-    "stall_cycles_l2_miss",
-    "l2_misses",
-    "l3_misses",
-    "context_switches",
-)
+#: Rows of ``VectorEngine._state``, the per-invocation float state (one
+#: column per invocation): instructions into the current phase and in
+#: total, the last epoch's contention penalties (L3 hit fraction, L3 hit
+#: latency, memory latency, private-cache inflation), the seven counters in
+#: ``CounterSnapshot`` field order from ``_CTR`` on, the occupancy-weighted
+#: time and its weight, the spec's total instructions, and the retired
+#: instructions at which the startup (Litmus probe) window closes —
+#: infinite when none is watched.
+_INTO, _RETIRED, _HIT, _HIT_LATENCY, _MEM_LATENCY, _INFLATION, _CTR = range(7)
+_OCC_WEIGHTED, _OCC_WEIGHT, _TOTAL, _PROBE_END = range(_CTR + 7, _CTR + 11)
 
 #: Listener called when an invocation completes.  Receives the materialized
 #: :class:`Invocation` handle (or the bare invocation index when the engine
@@ -95,7 +109,12 @@ class VectorEngineStats:
 
 
 class _SpecTable:
-    """Padded per-phase profile arrays for every distinct function spec."""
+    """Per-phase profiles of every distinct function spec.
+
+    Each spec's phases occupy consecutive columns of :attr:`profiles`,
+    starting at ``first_column[spec]``; columns are only ever appended, so
+    a column number stays valid for the life of the table.
+    """
 
     def __init__(self) -> None:
         self._index: Dict[FunctionSpec, int] = {}
@@ -103,18 +122,11 @@ class _SpecTable:
         #: Keeps every id-cached spec object alive so ids cannot recycle.
         self._keepalive: List[FunctionSpec] = []
         self.specs: List[FunctionSpec] = []
-        # Built lazily into dense arrays on demand.
-        self._dirty = True
-        self.phase_instructions: np.ndarray = np.zeros((0, 1))
-        self.cpi_base: np.ndarray = np.zeros((0, 1))
-        self.l2_mpki: np.ndarray = np.zeros((0, 1))
-        self.working_set_mb: np.ndarray = np.zeros((0, 1))
-        self.solo_l3_hit: np.ndarray = np.zeros((0, 1))
-        self.mlp: np.ndarray = np.zeros((0, 1))
-        self.phase_count: np.ndarray = np.zeros(0, dtype=np.int64)
-        self.total_instructions: np.ndarray = np.zeros(0)
-        self.startup_instructions: np.ndarray = np.zeros(0)
-        self.is_traffic_generator: np.ndarray = np.zeros(0, dtype=bool)
+        self.first_column: List[int] = []
+        self.max_phases = 0
+        #: Rows: cpi_base, l2_mpki, working_set_mb, solo_l3_hit_fraction,
+        #: mlp, phase instructions.
+        self.profiles: np.ndarray = np.zeros((6, 0))
 
     def intern(self, spec: FunctionSpec) -> int:
         # Keyed by object identity first: churn drivers resubmit the same
@@ -133,7 +145,20 @@ class _SpecTable:
             index = len(self.specs)
             self._index[spec] = index
             self.specs.append(spec)
-            self._dirty = True
+            self.first_column.append(self.profiles.shape[1])
+            self.max_phases = max(self.max_phases, len(spec.phases))
+            columns = [
+                (
+                    phase.profile.cpi_base,
+                    phase.profile.l2_mpki,
+                    phase.profile.working_set_mb,
+                    phase.profile.solo_l3_hit_fraction,
+                    phase.profile.mlp,
+                    phase.instructions,
+                )
+                for phase in spec.phases
+            ]
+            self.profiles = np.concatenate((self.profiles, np.array(columns).T), axis=1)
         self._by_id[id(spec)] = index
         self._keepalive.append(spec)
         return index
@@ -142,56 +167,10 @@ class _SpecTable:
         # ``_by_id`` keys on ``id(spec)``; after unpickling every spec is a
         # new object, so stale ids could alias fresh ones and corrupt the
         # interning.  Drop the cache — ``intern`` repopulates it lazily via
-        # the hash-based ``_index`` lookup (same indices, same arrays).
+        # the hash-based ``_index`` lookup (same indices, same columns).
         state = self.__dict__.copy()
         state["_by_id"] = {}
         return state
-
-    def rebuild(self) -> None:
-        if not self._dirty:
-            return
-        count = len(self.specs)
-        width = max(len(spec.phases) for spec in self.specs)
-        # Padding uses 1.0 so padded slots can never divide by zero; they
-        # are always masked out by the ``finished`` check before use.
-        self.phase_instructions = np.full((count, width), 1.0)
-        self.cpi_base = np.ones((count, width))
-        self.l2_mpki = np.zeros((count, width))
-        self.working_set_mb = np.zeros((count, width))
-        self.solo_l3_hit = np.zeros((count, width))
-        self.mlp = np.ones((count, width))
-        self.phase_count = np.zeros(count, dtype=np.int64)
-        self.total_instructions = np.zeros(count)
-        self.startup_instructions = np.zeros(count)
-        self.is_traffic_generator = np.zeros(count, dtype=bool)
-        for s, spec in enumerate(self.specs):
-            phases = spec.phases
-            self.phase_count[s] = len(phases)
-            self.total_instructions[s] = spec.total_instructions
-            self.startup_instructions[s] = spec.startup_instructions
-            self.is_traffic_generator[s] = spec.is_traffic_generator
-            for p, phase in enumerate(phases):
-                profile = phase.profile
-                self.phase_instructions[s, p] = phase.instructions
-                self.cpi_base[s, p] = profile.cpi_base
-                self.l2_mpki[s, p] = profile.l2_mpki
-                self.working_set_mb[s, p] = profile.working_set_mb
-                self.solo_l3_hit[s, p] = profile.solo_l3_hit_fraction
-                self.mlp[s, p] = profile.mlp
-        # Stacked views so one fancy-index gathers every profile field.
-        self.epoch_stack = np.stack(
-            (
-                self.cpi_base,
-                self.l2_mpki,
-                self.working_set_mb,
-                self.solo_l3_hit,
-                self.mlp,
-            )
-        )
-        self.advance_stack = np.stack(
-            (self.phase_instructions, self.cpi_base, self.l2_mpki, self.mlp)
-        )
-        self._dirty = False
 
 
 class _VectorThreadView:
@@ -293,16 +272,20 @@ class VectorEngine:
 
         # Derived machine constants.
         self._capacity_mb = machine.l3.size_mb
-        self._utility_exponent = self._parameters.cache_utility_exponent
         self._line_size = float(machine.line_size_bytes)
         self._l3_latency = machine.l3.latency_cycles
         self._memory_latency = machine.memory_latency_cycles
-        self._ring_peak = machine.ring_peak_accesses_per_us * 1e6
-        self._memory_peak = machine.memory_bandwidth_gbs * 1e9
-        self._max_util = self._parameters.max_utilization
-        self._ring_q = self._parameters.ring_queueing_coefficient
-        self._memory_q = self._parameters.memory_queueing_coefficient
-        self._pressure = self._parameters.private_pressure_sensitivity
+        # Ring (row 0) and memory (row 1) constants, shaped to broadcast
+        # over per-machine rows; ``set_contention_parameters`` adds the
+        # queueing coefficients.
+        self._peaks = np.array(
+            [
+                [machine.ring_peak_accesses_per_us * 1e6],
+                [machine.memory_bandwidth_gbs * 1e9],
+            ]
+        )
+        self._base_latency = np.array([[self._l3_latency], [self._memory_latency]])
+        self.set_contention_parameters(self._parameters)
         self._switch_factors: Dict[int, float] = {}
         self._switch_table: Optional[np.ndarray] = None
         self._governor = FrequencyGovernor(machine=machine, policy=frequency_policy)
@@ -312,10 +295,13 @@ class VectorEngine:
         # (every machine healthy) keeps the fault-free path untouched.
         self._freq_scale: Optional[np.ndarray] = None
 
-        # Per-machine accumulators (the machine-wide PMU view).
-        m = machines
-        self._m_counters = {field: np.zeros(m) for field in _COUNTER_FIELDS}
-        self._m_elapsed = np.zeros(m)
+        # Per-machine accumulators (the machine-wide PMU view): the first
+        # six counters in ``CounterSnapshot`` field order, one row each.
+        self._m_counters = np.zeros((6, machines))
+        self._m_elapsed = np.zeros(machines)
+        #: Offsets that send counter row ``r`` of machine ``m`` to bin
+        #: ``r * machines + m`` of one ``np.bincount``.
+        self._counter_bins = np.arange(6)[:, None] * machines
 
         # Per-invocation state arrays, grown by doubling.  In
         # non-materialized mode finished columns go onto a free list and are
@@ -326,6 +312,16 @@ class VectorEngine:
         self._count = 0
         self._next_sandbox_id = 0
         self._free: List[int] = []
+        self.spec_idx = np.zeros(0, dtype=np.int64)
+        self.machine_of = np.zeros(0, dtype=np.int64)
+        self.gthread = np.zeros(0, dtype=np.int64)
+        self.active = np.zeros(0, dtype=bool)
+        #: Profile-table column of the current phase, and one past the last.
+        self.phase_column = np.zeros(0, dtype=np.int64)
+        self.end_column = np.zeros(0, dtype=np.int64)
+        self._state = np.zeros((_PROBE_END + 1, 0))
+        self.submit_time = np.zeros(0)
+        self.finish_time = np.zeros(0)
         self._grow(max(initial_capacity, 16))
         self._handles: List[Optional[Invocation]] = []
         self._tags: List[Optional[Dict[str, str]]] = []
@@ -396,14 +392,7 @@ class VectorEngine:
     def machine_counters(self, machine: int = 0) -> CounterSnapshot:
         """Machine-wide counter snapshot (the Litmus-test view)."""
         return CounterSnapshot(
-            cycles=float(self._m_counters["cycles"][machine]),
-            instructions=float(self._m_counters["instructions"][machine]),
-            stall_cycles_l2_miss=float(
-                self._m_counters["stall_cycles_l2_miss"][machine]
-            ),
-            l2_misses=float(self._m_counters["l2_misses"][machine]),
-            l3_misses=float(self._m_counters["l3_misses"][machine]),
-            context_switches=float(self._m_counters["context_switches"][machine]),
+            *self._m_counters[:, machine].tolist(),
             elapsed_seconds=float(self._m_elapsed[machine]),
         )
 
@@ -415,10 +404,10 @@ class VectorEngine:
         per-epoch telemetry samplers use it (repro.obs.series), so it
         must never mutate state.
         """
-        cycles = float(self._m_counters["cycles"].sum())
+        cycles = float(self._m_counters[0].sum())
         if cycles <= 0.0:
             return 0.0
-        return float(self._m_counters["stall_cycles_l2_miss"].sum()) / cycles
+        return float(self._m_counters[2].sum()) / cycles
 
     def set_frequency_scale(self, machines, scale: float) -> None:
         """Scale selected machines' operating frequency from now on.
@@ -442,7 +431,7 @@ class VectorEngine:
             if not 0 <= machine < self._machines:
                 raise ValueError(f"machine index {machine} out of range")
             self._freq_scale[machine] = scale
-        if (self._freq_scale == 1.0).all():
+        if not np.count_nonzero(self._freq_scale != 1.0):
             self._freq_scale = None
 
     def set_contention_parameters(
@@ -461,8 +450,12 @@ class VectorEngine:
         self._parameters = parameters or ContentionParameters()
         self._utility_exponent = self._parameters.cache_utility_exponent
         self._max_util = self._parameters.max_utilization
-        self._ring_q = self._parameters.ring_queueing_coefficient
-        self._memory_q = self._parameters.memory_queueing_coefficient
+        self._queueing = np.array(
+            [
+                [self._parameters.ring_queueing_coefficient],
+                [self._parameters.memory_queueing_coefficient],
+            ]
+        )
         self._pressure = self._parameters.private_pressure_sensitivity
 
     def invocation_spec(self, index: int) -> FunctionSpec:
@@ -479,7 +472,7 @@ class VectorEngine:
         The metering pipeline's per-completion reading: same validity
         window as :meth:`invocation_spec`.
         """
-        return float(self._ctr[6, index])
+        return float(self._state[_CTR + 6, index])
 
     def add_finish_listener(self, listener: VectorFinishListener) -> None:
         """Register a completion callback (handle-or-index, engine).
@@ -505,36 +498,23 @@ class VectorEngine:
     # Storage management
     # ------------------------------------------------------------------ #
     def _grow(self, capacity: int) -> None:
-        def extend(array: Optional[np.ndarray], dtype=float) -> np.ndarray:
-            fresh = np.zeros(capacity, dtype=dtype)
-            if array is not None:
-                fresh[: array.shape[0]] = array
+        def extend(array: np.ndarray) -> np.ndarray:
+            fresh = np.zeros(array.shape[:-1] + (capacity,), dtype=array.dtype)
+            fresh[..., : array.shape[-1]] = array
             return fresh
 
-        def extend2(array: Optional[np.ndarray], rows: int) -> np.ndarray:
-            fresh = np.zeros((rows, capacity))
-            if array is not None:
-                fresh[:, : array.shape[1]] = array
-            return fresh
-
-        self.spec_idx = extend(getattr(self, "spec_idx", None), np.int64)
-        self.machine_of = extend(getattr(self, "machine_of", None), np.int64)
-        self.gthread = extend(getattr(self, "gthread", None), np.int64)
-        self.active = extend(getattr(self, "active", None), bool)
-        self.phase_index = extend(getattr(self, "phase_index", None), np.int64)
-        self.into_phase = extend(getattr(self, "into_phase", None))
-        self.retired_total = extend(getattr(self, "retired_total", None))
-        #: Rows: cycles, instructions, stall, l2, l3, switches, elapsed.
-        self._ctr = extend2(getattr(self, "_ctr", None), 7)
-        self.occ_weighted = extend(getattr(self, "occ_weighted", None))
-        self.occ_weight = extend(getattr(self, "occ_weight", None))
-        #: Rows: l3_hit_fraction, l3_hit_latency, memory_latency, inflation.
-        self._pen = extend2(getattr(self, "_pen", None), 4)
-        self.has_penalty = extend(getattr(self, "has_penalty", None), bool)
-        self.startup_recorded = extend(getattr(self, "startup_recorded", None), bool)
-        self.watch_startup = extend(getattr(self, "watch_startup", None), bool)
-        self.submit_time = extend(getattr(self, "submit_time", None))
-        self.finish_time = extend(getattr(self, "finish_time", None))
+        for name in (
+            "spec_idx",
+            "machine_of",
+            "gthread",
+            "active",
+            "phase_column",
+            "end_column",
+            "_state",
+            "submit_time",
+            "finish_time",
+        ):
+            setattr(self, name, extend(getattr(self, name)))
         self._capacity = capacity
 
     # ------------------------------------------------------------------ #
@@ -573,9 +553,6 @@ class VectorEngine:
             raise ValueError(f"thread {thread_id} out of range")
         if self._free:
             index = self._free.pop()
-            self._ctr[:, index] = 0.0
-            self.occ_weighted[index] = 0.0
-            self.occ_weight[index] = 0.0
         else:
             index = self._count
             if index >= self._capacity:
@@ -586,16 +563,28 @@ class VectorEngine:
 
         spec_index = self._specs.intern(spec)
         gthread = machine * self._threads_per_machine + thread_id
+        first = self._specs.first_column[spec_index]
         self.spec_idx[index] = spec_index
         self.machine_of[index] = machine
         self.gthread[index] = gthread
         self.active[index] = True
-        self.phase_index[index] = 0
-        self.into_phase[index] = 0.0
-        self.retired_total[index] = 0.0
-        self.has_penalty[index] = False
-        self.startup_recorded[index] = False
-        self.watch_startup[index] = not spec.is_traffic_generator
+        self.phase_column[index] = first
+        self.end_column[index] = first + len(spec.phases)
+        # A fresh invocation carries its solo penalties (first phase's hit
+        # fraction, unloaded latencies, no inflation): the penalised stall
+        # and CPI of ``run_epoch`` then equal the scalar engine's solo
+        # formulas bit for bit (``x * 1.0`` is exact), so its first epoch
+        # needs no separate path.
+        column = self._state[:, index]
+        column[:] = 0.0
+        column[_HIT] = spec.phases[0].profile.solo_l3_hit_fraction
+        column[_HIT_LATENCY] = self._l3_latency
+        column[_MEM_LATENCY] = self._memory_latency
+        column[_INFLATION] = 1.0
+        column[_TOTAL] = spec.total_instructions
+        column[_PROBE_END] = (
+            math.inf if spec.is_traffic_generator else spec.startup_instructions
+        )
         self.submit_time[index] = self._time
         self._queues[gthread].append(index)
         self._order_dirty = True
@@ -674,9 +663,11 @@ class VectorEngine:
         self._switch_table = table
         return table
 
-    def _frequency_hz(self, busy_threads: np.ndarray) -> np.ndarray:
+    def _frequency_hz(self, occ_per_thread: np.ndarray) -> np.ndarray:
         """Per-machine operating frequency, memoized per busy-thread count.
 
+        ``occ_per_thread`` is every hardware thread's run-queue length; only
+        the turbo policy reads it, to count each machine's busy threads.
         Delegates to :class:`FrequencyGovernor` so the turbo curve has a
         single source of truth (and stays ``math.exp``-exact against the
         scalar engine).
@@ -685,6 +676,9 @@ class VectorEngine:
             if self._freq_scale is not None:
                 return self._fixed_frequency * self._freq_scale
             return self._fixed_frequency
+        busy_threads = np.count_nonzero(
+            occ_per_thread.reshape(self._machines, self._threads_per_machine), axis=1
+        )
         freqs = np.empty(self._machines)
         for m, busy in enumerate(busy_threads.tolist()):
             cached = self._turbo_cache.get(busy)
@@ -702,189 +696,153 @@ class VectorEngine:
         dt = self._config.epoch_seconds
         now = self._time + dt
         idx = self._runnable_order()
-        if idx.size == 0:
+        n = idx.size
+        if n == 0:
             self._m_elapsed += dt
             self._time = now
             return
-        self._specs.rebuild()
-        specs = self._specs
-        n = idx.size
+        machines = self._machines
         m_of = self.machine_of[idx]
-
+        gthread = self.gthread[idx]
         occ_per_thread = np.bincount(
-            self.gthread[idx], minlength=self._machines * self._threads_per_machine
+            gthread, minlength=machines * self._threads_per_machine
         )
-        occ = occ_per_thread[self.gthread[idx]]
-        busy = np.count_nonzero(
-            occ_per_thread.reshape(self._machines, self._threads_per_machine), axis=1
-        )
-        frequency_hz = self._frequency_hz(busy)
-        share = dt / occ
+        occ = occ_per_thread[gthread]
+        frequency = self._frequency_hz(occ_per_thread)[m_of]
+        cycles_available = dt / occ * frequency
         multiplier = self._switch_factor_table(int(occ.max()))[occ]
 
-        spec_i = self.spec_idx[idx]
-        # Every runnable invocation is mid-execution, so its phase index is a
-        # valid row of the spec table (finished ones left the queues).
-        phase = self.phase_index[idx]
-        cpi_base, l2_mpki, working_set, solo_hit, mlp = specs.epoch_stack[:, spec_i, phase]
-        mpki_per_inst = l2_mpki / 1000.0
-        frequency = frequency_hz[m_of]
-        cycles_available = share * frequency
-        remaining = np.maximum(
-            specs.total_instructions[spec_i] - self.retired_total[idx], 0.0
+        # Every runnable invocation is mid-execution, so its phase column is
+        # a valid one (finished invocations left the queues).
+        state = self._state.take(idx, axis=1)
+        hit_frac, hit_latency, mem_latency, inflation = state[_HIT : _INFLATION + 1]
+        column = self.phase_column[idx]
+        end_column = self.end_column[idx]
+        profiles = self._specs.profiles
+        cpi_base, l2_mpki, working_set, solo_hit, mlp, p_instr = profiles.take(
+            column, axis=1
         )
+        mpki_per_inst = l2_mpki / 1000.0
+        remaining = np.maximum(state[_TOTAL] - state[_RETIRED], 0.0)
         need = np.minimum(working_set, self._capacity_mb)
 
         # ---------------- contention fixed point ---------------------- #
-        hit_frac, hit_latency, mem_latency, inflation = self._pen[:, idx]
-        has_pen = self.has_penalty[idx]
-        all_pen = bool(has_pen.all())
-        solo_stall = None
-        if not all_pen:
-            solo_stall = mpki_per_inst * (
-                (solo_hit * self._l3_latency + (1.0 - solo_hit) * self._memory_latency)
-                / mlp
-            )
-        for _ in range(self._config.fixed_point_iterations):
-            self._stats.fixed_point_iterations += 1
-            stall = mpki_per_inst * (
-                (hit_frac * hit_latency + (1.0 - hit_frac) * mem_latency) / mlp
-            )
+        # Each pass computes the stall and CPI under the current penalties;
+        # the pass after the last iteration's update feeds the advancement.
+        iterations = self._config.fixed_point_iterations
+        miss_fraction = 1.0 - hit_frac
+        for iteration in range(iterations + 1):
+            hit_term = hit_frac * hit_latency + miss_fraction * mem_latency
+            stall = mpki_per_inst * (hit_term / mlp)
             cpi_effective = cpi_base * inflation * multiplier + stall
-            if not all_pen:
-                stall = np.where(has_pen, stall, solo_stall)
-                cpi_effective = np.where(
-                    has_pen, cpi_effective, cpi_base * multiplier + stall
-                )
+            if iteration == iterations:
+                break
+            self._stats.fixed_point_iterations += 1
             instructions = np.minimum(cycles_available / cpi_effective, remaining)
             rate = instructions * l2_mpki / 1000.0 / dt
 
             hit_frac = self._water_fill(rate, need, solo_hit, m_of)
-            lookups = np.bincount(m_of, weights=rate, minlength=self._machines)
+            miss_fraction = 1.0 - hit_frac
+            lookups = np.bincount(m_of, weights=rate, minlength=machines)
             dram_bytes = np.bincount(
-                m_of,
-                weights=rate * (1.0 - hit_frac) * self._line_size,
-                minlength=self._machines,
+                m_of, weights=rate * miss_fraction * self._line_size, minlength=machines
             )
-            ring_util = np.minimum(
-                np.maximum(lookups / self._ring_peak, 0.0), self._max_util
+            # Row 0: the ring, row 1: memory; one column per machine.
+            load = np.array((lookups, dram_bytes))
+            util = np.minimum(np.maximum(load / self._peaks, 0.0), self._max_util)
+            latency = self._base_latency * (
+                1.0 + self._queueing * util / (1.0 - util)
             )
-            bw_util = np.minimum(
-                np.maximum(dram_bytes / self._memory_peak, 0.0), self._max_util
-            )
-            m_hit_latency = self._l3_latency * (
-                1.0 + self._ring_q * ring_util / (1.0 - ring_util)
-            )
-            m_mem_latency = self._memory_latency * (
-                1.0 + self._memory_q * bw_util / (1.0 - bw_util)
-            )
-            m_inflation = 1.0 + self._pressure * np.maximum(ring_util, bw_util)
-            hit_latency = m_hit_latency[m_of]
-            mem_latency = m_mem_latency[m_of]
-            inflation = m_inflation[m_of]
-            if not all_pen:
-                all_pen = True
-                has_pen = np.ones(n, dtype=bool)
-
-        self._pen[:, idx] = (hit_frac, hit_latency, mem_latency, inflation)
-        self.has_penalty[idx] = True
+            hit_latency, mem_latency = latency.take(m_of, axis=1)
+            inflation = (1.0 + self._pressure * np.maximum(util[0], util[1]))[m_of]
+        state[_HIT] = hit_frac
+        state[_HIT_LATENCY] = hit_latency
+        state[_MEM_LATENCY] = mem_latency
+        state[_INFLATION] = inflation
 
         # ---------------- epoch advancement --------------------------- #
-        # The scalar advance recomputes ``share * frequency_hz``; the product
-        # of the same two floats is bit-identical, so reuse the epoch's.
-        budget = cycles_available.copy()
-        phase_index = self.phase_index[idx].copy()
-        into_phase = self.into_phase[idx].copy()
-        retired_total = self.retired_total[idx].copy()
-        watch = self.watch_startup[idx] & ~self.startup_recorded[idx]
-        startup_instr = specs.startup_instructions[spec_i]
-        phase_count = specs.phase_count[spec_i]
-        stopped = np.zeros(n, dtype=bool)
-        tot_cycles = np.zeros(n)
-        tot_instr = np.zeros(n)
-        tot_stall = np.zeros(n)
-        tot_l2 = np.zeros(n)
-        tot_l3 = np.zeros(n)
-        hit_term = hit_frac * hit_latency + (1.0 - hit_frac) * mem_latency
-        miss_fraction = 1.0 - hit_frac
-        max_passes = int(specs.phase_count.max()) + 2
-        for pass_no in range(max_passes):
-            mask = (budget > 1.0) & (phase_index < phase_count) & ~stopped
-            if pass_no == 0 and mask.all():
-                # Every lane advances and no phase moved yet, so the
-                # epoch-start profile gathers are still valid — no fancy
-                # indexing, whole-array operations throughout.
-                live = slice(None)
-                p_instr = specs.phase_instructions[spec_i, phase]
-                p_cpi = cpi_base
-                p_mpki = l2_mpki
-                stall = mpki_per_inst * (hit_term / mlp)
-            else:
-                live = np.nonzero(mask)[0]
+        # ``lanes`` holds what a pass updates, one row each: instructions
+        # into the phase and retired in total, the cycle budget left, then
+        # the epoch's counter deltas in ``CounterSnapshot`` field order
+        # (cycles, instructions, stall cycles, L2 misses, L3 misses,
+        # context switches, elapsed seconds).  A pass over some of the lanes
+        # gathers and scatters them in one call each.  The scalar advance
+        # recomputes ``share * frequency_hz``; the product of the same two
+        # floats is bit-identical, so the budget reuses the epoch's.
+        lanes = np.empty((10, n))
+        lanes[:2] = state[_INTO : _RETIRED + 1]
+        lanes[2] = cycles_available
+        lanes[3:] = 0.0
+        probe_end = state[_PROBE_END]
+        live = slice(None)
+        sub = lanes
+        p_mpki = l2_mpki
+        for pass_no in range(self._specs.max_phases + 2):
+            if pass_no or np.count_nonzero(cycles_available > 1.0) < n:
+                # Some lane is out of budget, finished or at the end of its
+                # probe window, or a phase moved: gather the lanes that
+                # still advance, at their current phase.
+                live = ((lanes[2] > 1.0) & (column < end_column)).nonzero()[0]
                 if live.size == 0:
                     break
-                sp = spec_i[live]
-                ph = phase_index[live]
-                p_instr, p_cpi, p_mpki, p_mlp = specs.advance_stack[:, sp, ph]
+                sub = lanes.take(live, axis=1)
+                p_cpi, p_mpki, _, _, p_mlp, p_instr = profiles.take(
+                    column[live], axis=1
+                )
                 stall = (p_mpki / 1000.0) * (hit_term[live] / p_mlp)
+                cpi_effective = p_cpi * inflation[live] * multiplier[live] + stall
             self._stats.advance_passes += 1
-            cpi_effective = p_cpi * inflation[live] * multiplier[live] + stall
-            possible = budget[live] / cpi_effective
-            available = p_instr - into_phase[live]
-            retired = np.minimum(possible, available)
+            into, retired_sum, budget, d_cycles, d_instr, d_stall, d_l2, d_l3 = sub[:8]
+            retired = np.minimum(budget / cpi_effective, p_instr - into)
             cycles = retired * cpi_effective
-            tot_cycles[live] += cycles
-            tot_instr[live] += retired
-            tot_stall[live] += retired * stall
+            d_cycles += cycles
+            d_instr += retired
+            d_stall += retired * stall
             l2 = retired * p_mpki / 1000.0
-            tot_l2[live] += l2
-            tot_l3[live] += l2 * miss_fraction[live]
-            budget[live] -= cycles
-            new_into = into_phase[live] + retired
-            retired_total[live] += retired
-            crossed = new_into >= p_instr - 1e-9
-            phase_index[live] += crossed
-            into_phase[live] = np.where(crossed, 0.0, new_into)
-            stopped[live] |= watch[live] & (retired_total[live] >= startup_instr[live])
+            d_l2 += l2
+            d_l3 += l2 * miss_fraction[live]
+            budget -= cycles
+            into += retired
+            retired_sum += retired
+            crossed = into >= p_instr - 1e-9
+            into[crossed] = 0.0
+            column[live] += crossed
+            # A lane whose probe window closed stops for the epoch.
+            budget[retired_sum >= probe_end[live]] = 0.0
+            if sub is not lanes:
+                lanes[:, live] = sub
 
-        self.phase_index[idx] = phase_index
-        self.into_phase[idx] = into_phase
-        self.retired_total[idx] = retired_total
-        occupied = tot_cycles / frequency
-        switches = (occ > 1).astype(float)
-        self._ctr[:, idx] += np.stack(
-            (tot_cycles, tot_instr, tot_stall, tot_l2, tot_l3, switches, occupied)
-        )
-        self.occ_weighted[idx] += occ * dt
-        self.occ_weight[idx] += dt
-
-        deltas = {
-            "cycles": tot_cycles,
-            "instructions": tot_instr,
-            "stall_cycles_l2_miss": tot_stall,
-            "l2_misses": tot_l2,
-            "l3_misses": tot_l3,
-            "context_switches": switches,
-        }
+        counters = lanes[3:]
+        counters[5] = occ > 1
+        np.divide(counters[0], frequency, out=counters[6])
+        state[_INTO : _RETIRED + 1] = lanes[:2]
+        state[_CTR : _CTR + 7] += counters
+        state[_OCC_WEIGHTED] += occ * dt
+        state[_OCC_WEIGHT] += dt
         # Startup (Litmus probe) completions must snapshot the machine-wide
         # counters exactly as the scalar engine does: mid-epoch, after the
         # contributions of invocations at earlier runnable positions (and
         # the recorder itself) but before later ones.
-        startup_now = np.nonzero(watch & (retired_total >= startup_instr))[0]
-        if self._materialize and startup_now.size:
-            self._record_startups(startup_now, idx, m_of, deltas, now)
-        self.startup_recorded[idx[startup_now]] = True
+        probed = lanes[1] >= probe_end
+        startups = np.count_nonzero(probed)
+        if startups:
+            probe_end[probed] = math.inf
+        self._state[:, idx] = state
+        self.phase_column[idx] = column
+        if startups and self._materialize:
+            self._record_startups(probed.nonzero()[0], idx, m_of, counters, now)
 
-        for field, values in deltas.items():
-            self._m_counters[field] += np.bincount(
-                m_of, weights=values, minlength=self._machines
-            )
+        self._m_counters += np.bincount(
+            (self._counter_bins + m_of).ravel(),
+            weights=counters[:6].ravel(),
+            minlength=6 * machines,
+        ).reshape(6, machines)
         self._m_elapsed += dt
         self._time = now
 
-        finished_positions = np.nonzero(phase_index >= phase_count)[0]
-        if finished_positions.size:
-            self._finish(idx[finished_positions])
+        finished = column >= end_column
+        if np.count_nonzero(finished):
+            self._finish(idx[finished])
 
     # ------------------------------------------------------------------ #
     # Water-filling cache allocation (vectorized per machine)
@@ -908,17 +866,15 @@ class VectorEngine:
         machines = self._machines
         capacity = self._capacity_mb
         wf_active = (rate > 0.0) & (need > 0.0)
-        all_active = bool(wf_active.all())
-        if not all_active:
-            hit = solo_hit.copy()
-            if not wf_active.any():
-                return hit
+        active = np.count_nonzero(wf_active)
+        if not active:
+            return solo_hit.copy()
         # First-pass fast path: with full capacity every machine hosting an
         # active workload is processing (active implies rate > 0, so its
         # machine's total rate is positive), and when no workload's
         # proportional share reaches its need the scalar loop distributes
         # the shares and stops — one pass, no bookkeeping.
-        if all_active:
+        if active == n:
             total_rate = np.bincount(m_of, weights=rate, minlength=machines)
             share = capacity * rate / total_rate[m_of]
             capped = share >= need
@@ -930,46 +886,45 @@ class VectorEngine:
                 capacity * rate / np.where(total_rate[m_of] > 0, total_rate[m_of], 1.0)
             )
             capped = wf_active & (share >= need)
-        if capped.any():
+        if np.count_nonzero(capped):
             alloc = self._water_fill_slow(rate, need, m_of, wf_active)
-        elif all_active:
+        elif active == n:
             alloc = share
         else:
             alloc = np.where(wf_active, share, 0.0)
-        if all_active:
+        if active == n:
             coverage = np.minimum(np.maximum(alloc / need, 0.0), 1.0)
-            partial_mask = coverage < 1.0
         else:
-            covered = need > 0.0
             coverage = np.minimum(
-                np.maximum(alloc / np.where(covered, need, 1.0), 0.0), 1.0
+                np.maximum(alloc / np.where(wf_active, need, 1.0), 0.0), 1.0
             )
-            coverage[~covered] = 0.0
-            partial_mask = wf_active & covered & (coverage < 1.0)
         # The utility curve is the one transcendental in the per-epoch chain.
         # NumPy's SIMD ``power`` rounds differently from libm ``pow`` (the
         # scalar engine's ``**``) in ~5 % of cases, and a 1-ulp penalty
         # difference drifts the accumulated instruction counters onto the
-        # scalar engine's exact startup-boundary comparisons — so the
-        # partial-coverage lanes go through ``math.pow`` instead.  Coverage
-        # values repeat heavily (invocations running the same phase of the
-        # same spec on a machine share rate and need bit for bit), so pow
-        # runs once per distinct value.
-        exponent = self._utility_exponent
-        curve = np.ones(n)
-        partial = np.nonzero(partial_mask)[0]
-        if partial.size:
-            unique, inverse = np.unique(coverage[partial], return_inverse=True)
-            powered = np.fromiter(
-                (math.pow(value, exponent) for value in unique.tolist()),
-                dtype=float,
-                count=unique.size,
-            )
-            curve[partial] = powered[inverse]
-        if all_active:
+        # scalar engine's exact startup-boundary comparisons — so coverage
+        # goes through ``math.pow`` instead (full coverage gives exactly
+        # 1.0, and inactive lanes are dropped below).  Coverage values
+        # repeat (invocations running the same phase of the same spec on a
+        # machine share rate and need bit for bit), so pow runs once per
+        # distinct value: sort, flag each value that differs from its
+        # neighbour, and number the runs with a cumulative sum.
+        order = coverage.argsort()
+        ordered = coverage[order]
+        distinct = np.empty(n, dtype=bool)
+        distinct[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        values = ordered[distinct]
+        powered = np.fromiter(
+            map(math.pow, values.tolist(), repeat(self._utility_exponent)),
+            dtype=float,
+            count=values.size,
+        )
+        curve = np.empty(n)
+        curve[order] = powered[distinct.cumsum() - 1]
+        if active == n:
             return solo_hit * curve
-        hit = np.where(wf_active & covered, solo_hit * curve, hit)
-        return hit
+        return np.where(wf_active, solo_hit * curve, solo_hit)
 
     def _water_fill_slow(
         self,
@@ -1043,10 +998,14 @@ class VectorEngine:
         positions: np.ndarray,
         idx: np.ndarray,
         m_of: np.ndarray,
-        deltas: Dict[str, np.ndarray],
+        deltas: np.ndarray,
         now: float,
     ) -> None:
-        """Fill probe-window snapshots for invocations finishing startup."""
+        """Fill probe-window snapshots for invocations finishing startup.
+
+        ``deltas`` holds the epoch's per-lane counter deltas, one row per
+        machine counter.
+        """
         for position in positions.tolist():
             index = int(idx[position])
             handle = self._handles[index]
@@ -1055,29 +1014,9 @@ class VectorEngine:
             machine = int(m_of[position])
             prefix = (m_of == machine) & (np.arange(idx.size) <= position)
             machine_end = CounterSnapshot(
-                cycles=float(
-                    self._m_counters["cycles"][machine]
-                    + deltas["cycles"][prefix].sum()
-                ),
-                instructions=float(
-                    self._m_counters["instructions"][machine]
-                    + deltas["instructions"][prefix].sum()
-                ),
-                stall_cycles_l2_miss=float(
-                    self._m_counters["stall_cycles_l2_miss"][machine]
-                    + deltas["stall_cycles_l2_miss"][prefix].sum()
-                ),
-                l2_misses=float(
-                    self._m_counters["l2_misses"][machine]
-                    + deltas["l2_misses"][prefix].sum()
-                ),
-                l3_misses=float(
-                    self._m_counters["l3_misses"][machine]
-                    + deltas["l3_misses"][prefix].sum()
-                ),
-                context_switches=float(
-                    self._m_counters["context_switches"][machine]
-                    + deltas["context_switches"][prefix].sum()
+                *(
+                    float(self._m_counters[row, machine] + deltas[row][prefix].sum())
+                    for row in range(6)
                 ),
                 elapsed_seconds=float(self._m_elapsed[machine]),
             )
@@ -1089,16 +1028,18 @@ class VectorEngine:
         if handle is None:
             return
         counters = handle.counters
-        column = self._ctr[:, index]
-        counters.cycles = float(column[0])
-        counters.instructions = float(column[1])
-        counters.stall_cycles_l2_miss = float(column[2])
-        counters.l2_misses = float(column[3])
-        counters.l3_misses = float(column[4])
-        counters.context_switches = float(column[5])
-        counters.elapsed_seconds = float(column[6])
-        handle._occupancy_weighted_sum = float(self.occ_weighted[index])
-        handle._occupancy_weight = float(self.occ_weight[index])
+        column = self._state[:, index].tolist()
+        (
+            counters.cycles,
+            counters.instructions,
+            counters.stall_cycles_l2_miss,
+            counters.l2_misses,
+            counters.l3_misses,
+            counters.context_switches,
+            counters.elapsed_seconds,
+        ) = column[_CTR : _CTR + 7]
+        handle._occupancy_weighted_sum = column[_OCC_WEIGHTED]
+        handle._occupancy_weight = column[_OCC_WEIGHT]
 
     def _finish(self, finished_indices: np.ndarray) -> None:
         """Retire finished invocations and fire listeners in runnable order."""

@@ -15,7 +15,9 @@ the resume guarantee the kill-and-resume tests exercise.
 
 Checkpoints are trusted local state (same trust domain as the disk cache);
 :func:`load_checkpoint` refuses version or fingerprint skew with
-:class:`CheckpointError` before unpickling anything.
+:class:`CheckpointError` before unpickling anything, and reports every
+decode or unpickle failure of a damaged file as :class:`CheckpointError`
+too.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from typing import Optional
 from repro.diskcache import atomic_write_text
 from repro.serve.replay import StreamReplay
 
-#: Bump whenever the replay's pickled layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bump whenever the replay's pickled layout changes incompatibly.  2: the
+#: vector engine keeps per-invocation state in one float block and its
+#: spec table in one flat profile table.
+CHECKPOINT_VERSION = 2
 
 _FORMAT = "repro-stream-checkpoint"
 
@@ -94,11 +98,21 @@ def load_checkpoint(
             f"checkpoint {path} was taken for spec fingerprint {fingerprint!r}, "
             f"not {expect_fingerprint!r}; refusing to resume a different study"
         )
+    state = envelope.get("state")
+    if not isinstance(state, str):
+        raise CheckpointError(f"checkpoint {path} is corrupt: its state is not a string")
     try:
-        blob = zlib.decompress(base64.b64decode(envelope["state"]))
-        replay = pickle.loads(blob)
-    except (KeyError, ValueError, zlib.error, pickle.UnpicklingError) as error:
+        blob = zlib.decompress(base64.b64decode(state))
+    except (ValueError, zlib.error) as error:
         raise CheckpointError(f"checkpoint {path} is corrupt: {error}") from None
+    try:
+        replay = pickle.loads(blob)
+    except Exception as error:
+        # A damaged pickle fails in many ways: truncated or empty
+        # (EOFError), bad opcodes (UnpicklingError), bogus lengths
+        # (OverflowError, MemoryError), mangled names (AttributeError,
+        # ImportError), and more.  Each means the same corrupt checkpoint.
+        raise CheckpointError(f"checkpoint {path} is corrupt: {error!r}") from None
     if not isinstance(replay, StreamReplay):
         raise CheckpointError(f"checkpoint {path} did not contain a StreamReplay")
     return replay

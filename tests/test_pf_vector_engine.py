@@ -1,8 +1,12 @@
 """Unit tests for the NumPy fleet backend (`repro.platform.batch`)."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.cpu import CPU
+from repro.hardware.frequency import FrequencyPolicy
+from repro.hardware.pmu import CounterSnapshot
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.batch import (
     FleetScenario,
@@ -149,6 +153,59 @@ class TestColocatedChurnAgreement:
                 - v_inv.machine_counters_at_start.l3_misses
             )
             assert v_l3 == pytest.approx(s_l3, rel=1e-9)
+
+
+class TestTurboAgreement:
+    def test_turbo_with_mid_run_throttle_matches_scalar(self, registry):
+        """Under turbo the clock follows the busy-thread count.  Finished
+        functions are resubmitted on their thread until 0.3 s, so threads
+        fall idle one by one near the end; a throttle covers epochs
+        150-299."""
+        specs = registry.all()[:10]
+        threads = (0, 0, 1, 1, 2, 3, 4, 5, 6, 7)
+        scalar = SimulationEngine(
+            CPU(CASCADE_LAKE_5218, frequency_policy=FrequencyPolicy.TURBO),
+            LeastOccupancyScheduler(),
+            config=EngineConfig(),
+        )
+        vector = VectorEngine(CASCADE_LAKE_5218, frequency_policy=FrequencyPolicy.TURBO)
+
+        def resubmit(handle, engine):
+            if engine.time_seconds < 0.3:
+                engine.submit(handle.spec, thread_id=handle.thread_id)
+
+        for engine in (scalar, vector):
+            for spec, thread in zip(specs, threads):
+                engine.submit(spec, thread_id=thread)
+            engine.add_finish_listener(resubmit)
+        for epoch in range(400):
+            if epoch in (150, 300):
+                scale = 0.7 if epoch == 150 else 1.0
+                scalar.set_frequency_scale(scale)
+                vector.set_frequency_scale(0, scale)
+            scalar.run_epoch()
+            vector.run_epoch()
+
+        def order(inv):
+            return (inv.finish_time, inv.thread_id, inv.spec.name)
+
+        s_done = sorted(scalar.completed_invocations(), key=order)
+        v_done = sorted(vector.completed, key=order)
+        assert len(v_done) == len(s_done) > 100
+        for s_inv, v_inv in zip(s_done, v_done):
+            assert v_inv.spec is s_inv.spec
+            assert v_inv.finish_time == s_inv.finish_time
+            s_counters = s_inv.counters.snapshot()
+            v_counters = v_inv.counters.snapshot()
+            for field in dataclasses.fields(CounterSnapshot):
+                assert getattr(v_counters, field.name) == pytest.approx(
+                    getattr(s_counters, field.name), rel=1e-9, abs=1e-9
+                )
+        s_machine = scalar.cpu.global_counters.snapshot()
+        for field in dataclasses.fields(CounterSnapshot):
+            assert getattr(vector.machine_counters(0), field.name) == pytest.approx(
+                getattr(s_machine, field.name), rel=1e-9
+            )
 
 
 class TestMultiMachine:

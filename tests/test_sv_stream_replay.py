@@ -10,9 +10,15 @@ across chunk sizes, and across a kill-and-resume cycle.
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.scenarios import (
     chunk_plan,
@@ -169,12 +175,93 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_refuses_an_older_version(tmp_path):
+    """A version-1 envelope stops with the one-line version error before
+    its state is unpickled, rather than failing mid-run."""
+    replay = StreamReplay(_compiled("smoke"))
+    path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["checkpoint_version"] = 1
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+    with pytest.raises(CheckpointError, match="has version 1, expected 2") as caught:
+        load_checkpoint(path, expect_fingerprint=replay.fingerprint)
+    assert "\n" not in str(caught.value)
+
+
+_ENVELOPE = {}
+
+
+def _valid_envelope():
+    if not _ENVELOPE:
+        replay = StreamReplay(_compiled("smoke"))
+        replay.ingest(TraceChunk(index=0, start_epoch=0, end_epoch=5))
+        with tempfile.TemporaryDirectory() as directory:
+            path = save_checkpoint(Path(directory) / "c.ckpt.json", replay)
+            _ENVELOPE.update(json.loads(path.read_text(encoding="utf-8")))
+    return dict(_ENVELOPE)
+
+
+def _packed(data: bytes) -> str:
+    return base64.b64encode(zlib.compress(data)).decode("ascii")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+#: Stands for the state blob of a real checkpoint.
+_REAL_STATE = object()
+state_values = st.one_of(
+    st.just(_REAL_STATE),
+    json_values,
+    st.binary(max_size=64).map(lambda data: base64.b64encode(data).decode("ascii")),
+    st.binary(max_size=64).map(_packed),
+    st.sampled_from(
+        [
+            _packed(b""),
+            _packed(pickle.dumps({"not": "a replay"})),
+            _packed(pickle.dumps(StreamReplay)[:-3]),
+        ]
+    ),
+)
+
+
+@given(
+    field=st.sampled_from(["format", "checkpoint_version", "fingerprint", "state"]),
+    value=json_values,
+    state=state_values,
+    drop=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_checkpoint_load_never_escapes_as_a_traceback(field, value, state, drop):
+    """Whatever an envelope holds, loading it either restores a replay or
+    raises CheckpointError naming the file."""
+    envelope = _valid_envelope()
+    fingerprint = envelope["fingerprint"]
+    if state is not _REAL_STATE:
+        envelope["state"] = state
+    if drop:
+        envelope.pop(field)
+    elif field != "state":
+        envelope[field] = value
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "c.ckpt.json"
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        try:
+            replay = load_checkpoint(path, expect_fingerprint=fingerprint)
+        except CheckpointError as error:
+            assert str(path) in str(error)
+        else:
+            assert isinstance(replay, StreamReplay)
+
+
 def test_checkpoint_envelope_is_inspectable_json(tmp_path):
     replay = StreamReplay(_compiled("smoke"))
     replay.ingest(TraceChunk(index=0, start_epoch=0, end_epoch=10))
     path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["checkpoint_version"] == 1
+    assert envelope["checkpoint_version"] == 2
     assert envelope["fingerprint"] == replay.fingerprint
     assert envelope["chunks_ingested"] == 1
     assert envelope["epochs_done"] == 10
@@ -301,6 +388,23 @@ def test_cli_stream_checkpoint_resume_cycle(tmp_path, capsys):
     assert "resumed at epoch 50" in out
     assert "bit-exact" in out
     assert not list(ckpt_dir.glob("*.ckpt.json"))
+
+
+def test_cli_stream_refuses_a_corrupt_checkpoint_in_one_line(tmp_path, capsys):
+    from repro.cli import main
+
+    ckpt_dir = tmp_path / "ckpt"
+    common = ["stream", "--spec", "smoke", "--checkpoint-dir", str(ckpt_dir), "--no-bench"]
+    assert main(common + ["--chunk-epochs", "25", "--max-chunks", "1"]) == 0
+    (path,) = ckpt_dir.glob("*.ckpt.json")
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["state"] = 42
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+    capsys.readouterr()
+    assert main(common) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "state is not a string" in err
 
 
 def test_cli_stream_records_out_jsonl(tmp_path, capsys):
