@@ -10,6 +10,8 @@ when they were written, with every float as ``float.hex``:
   ``chaos-smoke`` presets: per-scenario counts, counters, billing totals
   and fault accounting, plus a SHA-256 over every per-function billing
   entry;
+* plain ``FleetSweep().run("vector")`` on ``smoke``, unmetered and
+  without faults: per-scenario counts and counters, with no billing;
 * one materialized ``VectorEngine`` run under ``FrequencyPolicy.TURBO``
   with churn and a mid-run frequency throttle: every completed
   invocation's Litmus startup snapshots (its own probe counters and the
@@ -121,6 +123,46 @@ def test_metered_vector_sweep_is_pinned(preset):
     result = compile_spec(load_spec_or_preset(preset)).sweep(meter=True).run("vector")
     assert [_scenario_row(s) for s in result.scenarios] == SWEEP_ROWS[preset]
     assert _digest([s.billing for s in result.scenarios]) == SWEEP_BILLING_SHA256[preset]
+
+
+#: (name, submitted, completed, instructions, cycles, stall cycles,
+#: l3 misses) per scenario of the unmetered ``smoke`` sweep.
+UNMETERED_SMOKE_ROWS = [
+    ("all-m1-c1", 49, 45, "0x1.e1f6e920fcafdp+31", "0x1.3ec4521e87981p+31",
+     "0x1.d1c0c88f74238p+28", "0x1.d273c7e8eff7cp+22"),
+    ("all-m1-c2", 52, 44, "0x1.daf1bafdfe614p+31", "0x1.4753837693c2cp+31",
+     "0x1.1098e4346da3cp+29", "0x1.22ed1cc3a8234p+23"),
+    ("all-m2-c1", 94, 86, "0x1.d959ad5570b06p+32", "0x1.3ed30d17b32d1p+32",
+     "0x1.cc8dd6dcedf30p+29", "0x1.ceb537859e1afp+23"),
+    ("all-m2-c2", 99, 83, "0x1.d463bf5bbbd77p+32", "0x1.47dfd2111c4d2p+32",
+     "0x1.0d6e9a3bda05ep+30", "0x1.1ff8c06c34222p+24"),
+    ("memory-intensive-m1-c1", 77, 73, "0x1.c6b19e241c78cp+31",
+     "0x1.2f28648a56b0fp+31", "0x1.97ce893ac0ca4p+28", "0x1.884e25eeef130p+22"),
+    ("memory-intensive-m1-c2", 82, 74, "0x1.d540501c79e45p+31",
+     "0x1.437ea0c458c5dp+31", "0x1.f46940c998672p+28", "0x1.0375001b3a376p+23"),
+    ("memory-intensive-m2-c1", 152, 144, "0x1.c7f5ec53af546p+32",
+     "0x1.3180f763b61e6p+32", "0x1.979fadb2f9d84p+29", "0x1.883b0b1729254p+23"),
+    ("memory-intensive-m2-c2", 160, 144, "0x1.d2fc60291fb7ap+32",
+     "0x1.43e85299d71f0p+32", "0x1.f151a008d6abfp+29", "0x1.01c944380ac6dp+24"),
+]
+
+
+def test_unmetered_vector_sweep_is_pinned():
+    result = compile_spec(load_spec_or_preset("smoke")).sweep().run("vector")
+    rows = [
+        (
+            s.name,
+            s.submitted,
+            s.completed,
+            s.instructions.hex(),
+            s.cycles.hex(),
+            s.stall_cycles.hex(),
+            s.l3_misses.hex(),
+        )
+        for s in result.scenarios
+    ]
+    assert rows == UNMETERED_SMOKE_ROWS
+    assert all(s.billing is None and s.fault_stats is None for s in result.scenarios)
 
 
 def _materialized_run():
