@@ -197,6 +197,8 @@ _SPEC_CONFLICT_FLAGS = (
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from concurrent.futures.process import BrokenProcessPool
+
     from repro import benchlog
     from repro.hardware.topology import CASCADE_LAKE_5218
     from repro.platform.batch import FleetSweep, run_sharded, scenario_grid
@@ -368,69 +370,73 @@ def _command_sweep(args: argparse.Namespace) -> int:
     }
     if spec is not None:
         extra["spec"] = spec.name
-    if has_faults:
-        # Faulted sweeps run twice on the same grid: once with the faults
-        # stripped (the pricing-accuracy baseline), once as declared.
-        baseline = execute(backend, compiled.without_faults().scenarios,
-                           meter=True, label="base:")
-        faulted = execute(backend, meter=True, label="fault:")
-        report = DegradationReport.build(baseline.result, faulted.result)
-        print(faulted.render())
-        print(report.render())
-        print(
-            f"{faulted.completed} invocations completed in "
-            f"{faulted.wall_seconds:.2f}s wall (+{baseline.wall_seconds:.2f}s "
-            f"baseline) [{faulted.result.backend}, {faulted.shards} shard(s)]"
-        )
-        figures[f"fleet-sweep-{faulted.result.backend}"] = faulted.wall_seconds
-        extra.update(
-            backend=faulted.result.backend,
-            completed=faulted.completed,
-            baseline_completed=baseline.completed,
-            shards=faulted.shards,
-            shard_seconds=[round(t.wall_seconds, 4) for t in faulted.shard_timings],
-            baseline_wall_seconds=round(baseline.wall_seconds, 4),
-            fault_report=report.to_dict(),
-        )
-    elif args.compare:
-        vector = execute("vector")
-        scalar = execute("scalar")
-        speedup = scalar.wall_seconds / max(vector.wall_seconds, 1e-9)
-        print(vector.render())
-        print(scalar.render())
-        print(
-            f"vector {vector.wall_seconds:.2f}s vs scalar fast-path "
-            f"{scalar.wall_seconds:.2f}s -> {speedup:.1f}x speedup "
-            f"[{vector.shards} shard(s)]"
-        )
-        figures["fleet-sweep-vector"] = vector.wall_seconds
-        figures["fleet-sweep-scalar"] = scalar.wall_seconds
-        extra.update(
-            backend="compare",
-            speedup=round(speedup, 2),
-            completed=vector.completed,
-            scalar_completed=scalar.completed,
-            shards=vector.shards,
-            shard_seconds=[round(t.wall_seconds, 4) for t in vector.shard_timings],
-            scalar_shard_seconds=[
-                round(t.wall_seconds, 4) for t in scalar.shard_timings
-            ],
-        )
-    else:
-        result = execute(backend)
-        print(result.render())
-        print(
-            f"{result.completed} invocations completed in "
-            f"{result.wall_seconds:.2f}s wall "
-            f"[{result.result.backend}, {result.shards} shard(s)]"
-        )
-        figures[f"fleet-sweep-{result.result.backend}"] = result.wall_seconds
-        extra.update(
-            backend=result.result.backend,
-            completed=result.completed,
-            shards=result.shards,
-            shard_seconds=[round(t.wall_seconds, 4) for t in result.shard_timings],
-        )
+    worker_died = False
+    try:
+        if has_faults:
+            # Faulted sweeps run twice on the same grid: once with the faults
+            # stripped (the pricing-accuracy baseline), once as declared.
+            baseline = execute(backend, compiled.without_faults().scenarios,
+                               meter=True, label="base:")
+            faulted = execute(backend, meter=True, label="fault:")
+            report = DegradationReport.build(baseline.result, faulted.result)
+            print(faulted.render())
+            print(report.render())
+            print(
+                f"{faulted.completed} invocations completed in "
+                f"{faulted.wall_seconds:.2f}s wall (+{baseline.wall_seconds:.2f}s "
+                f"baseline) [{faulted.result.backend}, {faulted.shards} shard(s)]"
+            )
+            figures[f"fleet-sweep-{faulted.result.backend}"] = faulted.wall_seconds
+            extra.update(
+                backend=faulted.result.backend,
+                completed=faulted.completed,
+                baseline_completed=baseline.completed,
+                shards=faulted.shards,
+                shard_seconds=[round(t.wall_seconds, 4) for t in faulted.shard_timings],
+                baseline_wall_seconds=round(baseline.wall_seconds, 4),
+                fault_report=report.to_dict(),
+            )
+        elif args.compare:
+            vector = execute("vector")
+            scalar = execute("scalar")
+            speedup = scalar.wall_seconds / max(vector.wall_seconds, 1e-9)
+            print(vector.render())
+            print(scalar.render())
+            print(
+                f"vector {vector.wall_seconds:.2f}s vs scalar fast-path "
+                f"{scalar.wall_seconds:.2f}s -> {speedup:.1f}x speedup "
+                f"[{vector.shards} shard(s)]"
+            )
+            figures["fleet-sweep-vector"] = vector.wall_seconds
+            figures["fleet-sweep-scalar"] = scalar.wall_seconds
+            extra.update(
+                backend="compare",
+                speedup=round(speedup, 2),
+                completed=vector.completed,
+                scalar_completed=scalar.completed,
+                shards=vector.shards,
+                shard_seconds=[round(t.wall_seconds, 4) for t in vector.shard_timings],
+                scalar_shard_seconds=[
+                    round(t.wall_seconds, 4) for t in scalar.shard_timings
+                ],
+            )
+        else:
+            result = execute(backend)
+            print(result.render())
+            print(
+                f"{result.completed} invocations completed in "
+                f"{result.wall_seconds:.2f}s wall "
+                f"[{result.result.backend}, {result.shards} shard(s)]"
+            )
+            figures[f"fleet-sweep-{result.result.backend}"] = result.wall_seconds
+            extra.update(
+                backend=result.result.backend,
+                completed=result.completed,
+                shards=result.shards,
+                shard_seconds=[round(t.wall_seconds, 4) for t in result.shard_timings],
+            )
+    except BrokenProcessPool:  # killed or out of memory: close metrics, then fail
+        worker_died = True
 
     if collector is not None:
         collector.stop()
@@ -449,6 +455,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
             print(f"[metrics written to {args.metrics_out}]")
     if manager is not None:
         manager.shutdown()
+    if worker_died:
+        print("sweep failed: a shard worker process died (killed, or out of memory?)",
+              file=sys.stderr)
+        return 1
 
     if not args.no_bench:
         bench_path = (

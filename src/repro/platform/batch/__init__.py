@@ -3,7 +3,8 @@
 :class:`VectorEngine` advances an entire fleet of machines and invocations
 per epoch with NumPy array operations; :class:`FleetSweep` simulates a grid
 of scenarios (traffic mixes × machine counts × co-location levels) in one
-batched run, and :func:`run_sharded` partitions such a grid across worker
+batched run on one :class:`VectorDrive` (which :mod:`repro.serve` advances
+a chunk at a time), and :func:`run_sharded` partitions such a grid across worker
 processes — one fleet per shard, deterministic seeds, results merged
 identical to the single-process run.  The scalar
 :mod:`repro.platform.engine` remains the bit-exact reference backend for
@@ -28,6 +29,7 @@ from repro.platform.batch.sweep import (
     FleetSweepResult,
     NAMED_MIXES,
     ScenarioResult,
+    VectorDrive,
     resolve_mix,
     scenario_grid,
 )
@@ -59,6 +61,7 @@ __all__ = [
     "FleetSweepResult",
     "NAMED_MIXES",
     "ScenarioResult",
+    "VectorDrive",
     "resolve_mix",
     "scenario_grid",
     "ShardTiming",

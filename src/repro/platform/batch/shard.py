@@ -20,8 +20,8 @@ Guarantees:
   and hardware counters are bit-exact against the same scenario in a
   single-process :meth:`FleetSweep.run` (asserted by
   ``tests/test_pf_shard_executor.py``); only wall-clock fields differ.
-* **Inline fallback** — one effective shard short-circuits to an in-process
-  :meth:`FleetSweep.run`, so ``--shards 1`` *is* the single-process run.
+* **Inline fallback** — one effective shard runs its job in-process,
+  without a pool, so ``--shards 1`` *is* the single-process run.
 
 The CLI (``python -m repro sweep --spec … --shards N``) records the
 per-shard and aggregate wall-clock of every sharded run in
@@ -259,57 +259,6 @@ def run_sharded(
     """
     start = time.perf_counter()
     parts = partition_scenarios(scenarios, shards, machine=machine)
-    if len(parts) == 1:
-        sweep = FleetSweep(
-            scenarios,
-            machine=machine,
-            horizon_seconds=horizon_seconds,
-            epoch_seconds=epoch_seconds,
-            registry=registry,
-            registry_scale=registry_scale,
-            meter=meter,
-        )
-        progress: Optional[ProgressCallback] = None
-        if metrics_queue is not None:
-            progress = MetricsEmitter(
-                metrics_queue,
-                shard=0,
-                label=metrics_label,
-                min_interval_seconds=metrics_interval,
-                series_budget=series_budget,
-            )
-        tracer = span = None
-        if trace is not None and metrics_queue is not None:
-            tracer = Tracer(trace_id=trace.trace_id, sink=metrics_queue.put)
-            span = tracer.start(
-                f"shard-{metrics_label}0",
-                parent=trace,
-                tags={
-                    "phase": "shard",
-                    "shard": 0,
-                    "scenarios": len(scenarios),
-                    "backend": backend,
-                },
-            )
-        try:
-            result = sweep.run(backend, progress=progress)
-        finally:
-            if tracer is not None and span is not None:
-                tracer.finish(span, root=True)
-        timing = ShardTiming(
-            shard=0,
-            scenario_names=tuple(s.name for s in scenarios),
-            fleet_size=sum(s.fleet_size(machine) for s in scenarios),
-            wall_seconds=result.wall_seconds,
-        )
-        merged = FleetSweepResult(
-            backend=backend,
-            scenarios=result.scenarios,
-            wall_seconds=time.perf_counter() - start,
-            horizon_seconds=horizon_seconds,
-        )
-        return ShardedSweepResult(result=merged, shard_timings=(timing,))
-
     jobs = [
         _ShardJob(
             shard=shard,
@@ -329,16 +278,18 @@ def run_sharded(
         )
         for shard, part in enumerate(parts)
     ]
-    workers = max_workers or min(len(jobs), os.cpu_count() or len(jobs))
-    shard_results: List[Optional[FleetSweepResult]] = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=max(workers, 1)) as pool:
-        for shard, result in pool.map(_run_shard, jobs):
-            shard_results[shard] = result
+    if len(jobs) == 1:
+        # One shard is the single-process run: no pool, same span.
+        outcomes = [_run_shard(jobs[0])]
+    else:
+        workers = max_workers or min(len(jobs), os.cpu_count() or len(jobs))
+        with ProcessPoolExecutor(max_workers=max(workers, 1)) as pool:
+            # ``map`` yields in job order, so outcome i is shard i's.
+            outcomes = list(pool.map(_run_shard, jobs))
 
     by_index: List[Optional[ScenarioResult]] = [None] * len(scenarios)
     timings: List[ShardTiming] = []
-    for shard, (part, result) in enumerate(zip(parts, shard_results)):
-        assert result is not None
+    for (shard, result), part in zip(outcomes, parts):
         for index, scenario_result in zip(part, result.scenarios):
             by_index[index] = scenario_result
         timings.append(

@@ -5,7 +5,9 @@ mix, a number of machines, and a co-location level (functions per hardware
 thread).  :class:`FleetSweep` simulates a whole grid of scenarios at once:
 with the vector backend every machine of every scenario lives in a single
 :class:`repro.platform.batch.VectorEngine`, so the entire grid advances in
-one batched NumPy pass per epoch.  The scalar backend runs the identical
+one batched NumPy pass per epoch.  A :class:`VectorDrive` owns that engine
+and its drive loop; the streaming replay (:mod:`repro.serve`) advances the
+same drive a chunk at a time.  The scalar backend runs the identical
 scenarios machine-by-machine on the bit-exact
 :class:`repro.platform.engine.SimulationEngine` (fast path enabled) and is
 what the vector backend's throughput claims are measured against.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.hardware.cpu import CPU
@@ -269,9 +271,10 @@ def advance_to_boundary(engine, until: float, *, on_epoch=None) -> None:
     horizons to agree: the target is computed as
     ``time + (until - time)`` so that accumulated float error in the
     engine clock cancels identically on either engine, and the loop stops
-    within one epoch of the boundary.  Used by the fault windows here and
-    by the hardware-drift boundaries of :mod:`repro.calibrate.drift` —
-    any engine exposing ``time_seconds`` and ``run_epoch()`` qualifies.
+    within one epoch of the boundary.  :class:`VectorDrive` segments the
+    fault windows with the same arithmetic; this function serves the
+    hardware-drift boundaries of :mod:`repro.calibrate.drift` — any engine
+    exposing ``time_seconds`` and ``run_epoch()`` qualifies.
     ``on_epoch`` (when given) runs after every stepped epoch.
     """
     target = engine.time_seconds + (until - engine.time_seconds)
@@ -289,22 +292,32 @@ def _throttle_scale(active_factors: Sequence[float]) -> float:
     return scale
 
 
-class _BurstState:
+class _BurstState(NamedTuple):
     """Vector-side burst bookkeeping: one instance per opened burst window."""
 
-    __slots__ = ("fault", "end_seconds", "mixers", "scenario_index")
+    fault: FaultSpec
+    end_seconds: float
+    mixers: Dict[int, WorkloadMixer]
 
-    def __init__(
-        self,
-        fault: FaultSpec,
-        end_seconds: float,
-        mixers: Dict[int, WorkloadMixer],
-        scenario_index: int,
-    ) -> None:
-        self.fault = fault
-        self.end_seconds = end_seconds
-        self.mixers = mixers
-        self.scenario_index = scenario_index
+
+def _fault_meter_totals(
+    counters: Sequence[Optional[FaultCounters]],
+    ledgers: Sequence[Optional[MeteringLedger]],
+) -> Tuple[int, int, int, float, float]:
+    """Fault injections, meter drops and duplicates, and billed and true
+    GB-s, summed in scenario order for the progress payloads and series."""
+    injections = dropped = duplicated = 0
+    billed = true = 0.0
+    for counter in counters:
+        if counter is not None:
+            injections += counter.spike_submissions + counter.neighbor_submissions
+    for ledger in ledgers:
+        if ledger is not None:
+            dropped += ledger.dropped
+            duplicated += ledger.duplicated
+            billed += ledger.billed_total
+            true += ledger.true_total
+    return injections, dropped, duplicated, billed, true
 
 
 def scenario_grid(
@@ -446,8 +459,8 @@ class FleetSweep:
         ``progress``, when given, receives payload dicts (see
         :mod:`repro.obs`) a few times per second while the sweep advances,
         plus one final payload with ``done=True``.  Observability never
-        changes results: the instrumented paths step the same epochs with
-        the same arithmetic as the plain ones.
+        changes results: a vector run advances one :class:`VectorDrive`
+        the same way whether or not anything listens.
         """
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
@@ -472,7 +485,7 @@ class FleetSweep:
         return vector, scalar, speedup
 
     # ------------------------------------------------------------------ #
-    # Fault plumbing shared by both backends
+    # Fault, metering and result plumbing shared by both backends
     # ------------------------------------------------------------------ #
     def _scenario_metered(self, scenario: FleetScenario) -> bool:
         return self._meter or bool(scenario.faults)
@@ -537,15 +550,6 @@ class FleetSweep:
             total += int(round((window[1] - window[0]) / self._epoch_seconds))
         return total * scenario.machines
 
-    def _fill_meter_counts(
-        self, counters: Optional[FaultCounters], ledger: Optional[MeteringLedger]
-    ) -> None:
-        if counters is None or ledger is None:
-            return
-        counters.meter_events = ledger.events
-        counters.meter_dropped = ledger.dropped
-        counters.meter_duplicated = ledger.duplicated
-
     def _progress_payload(
         self,
         backend: str,
@@ -559,17 +563,9 @@ class FleetSweep:
         ledgers: Sequence[Optional[MeteringLedger]],
         done: bool = False,
     ) -> Dict[str, object]:
-        injections = dropped = duplicated = 0
-        billed = true = 0.0
-        for counter in counters:
-            if counter is not None:
-                injections += counter.spike_submissions + counter.neighbor_submissions
-        for ledger in ledgers:
-            if ledger is not None:
-                dropped += ledger.dropped
-                duplicated += ledger.duplicated
-                billed += ledger.billed_total
-                true += ledger.true_total
+        injections, dropped, duplicated, billed, true = _fault_meter_totals(
+            counters, ledgers
+        )
         return {
             "backend": backend,
             "scenarios_total": len(self._scenarios),
@@ -586,289 +582,55 @@ class FleetSweep:
             "done": done,
         }
 
+    def _scenario_result(
+        self,
+        scenario: FleetScenario,
+        backend: str,
+        *,
+        submitted: int,
+        completed: int,
+        machine_counters: Iterable,
+        ledger: Optional[MeteringLedger],
+        fault_counters: Optional[FaultCounters],
+    ) -> ScenarioResult:
+        """One scenario's result; its machines' counters summed in order."""
+        instructions = cycles = stall = l3 = 0.0
+        for counters in machine_counters:
+            instructions += counters.instructions
+            cycles += counters.cycles
+            stall += counters.stall_cycles_l2_miss
+            l3 += counters.l3_misses
+        if fault_counters is not None and ledger is not None:
+            fault_counters.meter_events = ledger.events
+            fault_counters.meter_dropped = ledger.dropped
+            fault_counters.meter_duplicated = ledger.duplicated
+        return ScenarioResult(
+            name=scenario.name,
+            backend=backend,
+            fleet_size=scenario.fleet_size(self._machine),
+            machines=scenario.machines,
+            colocation=scenario.colocation,
+            submitted=submitted,
+            completed=completed,
+            simulated_seconds=self._horizon,
+            instructions=instructions,
+            cycles=cycles,
+            stall_cycles=stall,
+            l3_misses=l3,
+            billing=None if ledger is None else ledger.freeze(),
+            fault_stats=None if fault_counters is None else fault_counters.freeze(),
+        )
+
     # ------------------------------------------------------------------ #
-    # Vector backend: one engine, every machine of every scenario
+    # Vector backend: one drive, every machine of every scenario
     # ------------------------------------------------------------------ #
     def _run_vector(
         self, progress: Optional[ProgressCallback] = None
     ) -> List[ScenarioResult]:
-        spec = self._machine
-        total_machines = sum(s.machines for s in self._scenarios)
-        engine = VectorEngine(
-            spec,
-            machines=total_machines,
-            config=VectorEngineConfig(epoch_seconds=self._epoch_seconds),
-            materialize_handles=False,
-            initial_capacity=max(4 * self.fleet_size, 1024),
-        )
-        mixers: Dict[int, Mixer] = {}
-        scenario_of_machine: Dict[int, int] = {}
-        submitted = [0] * len(self._scenarios)
-        completed = [0] * len(self._scenarios)
-        machine_offset = [0] * len(self._scenarios)
-
-        offset = 0
-        for s, scenario in enumerate(self._scenarios):
-            cores = scenario.cores(spec)
-            machine_offset[s] = offset
-            for machine in range(offset, offset + scenario.machines):
-                scenario_of_machine[machine] = s
-                mixers[machine] = self._make_mixer(scenario, machine - offset)
-                for thread in range(cores):
-                    for _ in range(scenario.colocation):
-                        engine.submit(
-                            mixers[machine].next(), machine=machine, thread_id=thread
-                        )
-                        submitted[s] += 1
-            offset += scenario.machines
-
-        ledgers: List[Optional[MeteringLedger]] = [
-            MeteringLedger() if self._scenario_metered(s) else None
-            for s in self._scenarios
-        ]
-        fault_counters: List[Optional[FaultCounters]] = [
-            FaultCounters() if s.faults else None for s in self._scenarios
-        ]
-        boundaries: Dict[float, List[Tuple[int, _BoundaryAction]]] = {}
-        for s, scenario in enumerate(self._scenarios):
-            if fault_counters[s] is not None:
-                fault_counters[s].throttled_machine_epochs = (
-                    self._nominal_throttled_epochs(scenario)
-                )
-            for when, actions in _fault_boundaries(scenario.faults, self._horizon):
-                boundaries.setdefault(when, []).extend((s, a) for a in actions)
-        plain = (
-            progress is None
-            and not boundaries
-            and not any(ledger is not None for ledger in ledgers)
-        )
-
-        if plain:
-
-            def on_finish(index: object, eng: VectorEngine) -> None:
-                machine = int(eng.machine_of[index])
-                thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
-                s = scenario_of_machine[machine]
-                completed[s] += 1
-                eng.submit(mixers[machine].next(), machine=machine, thread_id=thread)
-                submitted[s] += 1
-
-            engine.add_finish_listener(on_finish)
-            engine.run_for(self._horizon)
-        else:
-            self._run_vector_instrumented(
-                engine,
-                mixers,
-                scenario_of_machine,
-                machine_offset,
-                submitted,
-                completed,
-                ledgers,
-                fault_counters,
-                boundaries,
-                progress,
-            )
-
-        for s in range(len(self._scenarios)):
-            self._fill_meter_counts(fault_counters[s], ledgers[s])
-
-        results: List[ScenarioResult] = []
-        offset = 0
-        for s, scenario in enumerate(self._scenarios):
-            machines = range(offset, offset + scenario.machines)
-            instructions = cycles = stall = l3 = 0.0
-            for machine in machines:
-                counters = engine.machine_counters(machine)
-                instructions += counters.instructions
-                cycles += counters.cycles
-                stall += counters.stall_cycles_l2_miss
-                l3 += counters.l3_misses
-            results.append(
-                ScenarioResult(
-                    name=scenario.name,
-                    backend="vector",
-                    fleet_size=scenario.fleet_size(spec),
-                    machines=scenario.machines,
-                    colocation=scenario.colocation,
-                    submitted=submitted[s],
-                    completed=completed[s],
-                    simulated_seconds=self._horizon,
-                    instructions=instructions,
-                    cycles=cycles,
-                    stall_cycles=stall,
-                    l3_misses=l3,
-                    billing=None if ledgers[s] is None else ledgers[s].freeze(),
-                    fault_stats=(
-                        None
-                        if fault_counters[s] is None
-                        else fault_counters[s].freeze()
-                    ),
-                )
-            )
-            offset += scenario.machines
-        return results
-
-    def _run_vector_instrumented(
-        self,
-        engine: VectorEngine,
-        mixers: Dict[int, Mixer],
-        scenario_of_machine: Dict[int, int],
-        machine_offset: List[int],
-        submitted: List[int],
-        completed: List[int],
-        ledgers: List[Optional[MeteringLedger]],
-        fault_counters: List[Optional[FaultCounters]],
-        boundaries: Dict[float, List[Tuple[int, "_BoundaryAction"]]],
-        progress: Optional[ProgressCallback],
-    ) -> None:
-        """The fault/metering/metrics-aware vector drive loop.
-
-        Steps the very same epochs as ``run_for`` would — the horizon is
-        segmented at fault boundaries with the identical
-        ``target = time + (boundary - time)`` float arithmetic, so with no
-        faults declared this path is bit-exact against the plain one.
-        """
-        injectors: Dict[int, MeterFaultInjector] = {}
-        for machine, s in scenario_of_machine.items():
-            if ledgers[s] is not None:
-                injector = self._meter_injector(
-                    self._scenarios[s], machine - machine_offset[s]
-                )
-                if injector is not None:
-                    injectors[machine] = injector
-        burst_of: Dict[int, _BurstState] = {}
-
-        def on_finish(index: object, eng: VectorEngine) -> None:
-            machine = int(eng.machine_of[index])
-            s = scenario_of_machine[machine]
-            burst = burst_of.pop(index, None)
-            if burst is not None:
-                fault_counters[s].count_burst_finish(burst.fault.type)
-                if eng.time_seconds < burst.end_seconds:
-                    replacement = eng.submit(
-                        burst.mixers[machine].next(), machine=machine
-                    )
-                    burst_of[replacement] = burst
-                    fault_counters[s].count_burst_submit(burst.fault.type)
-                return
-            ledger = ledgers[s]
-            if ledger is not None:
-                function = eng.invocation_spec(index)
-                injector = injectors.get(machine)
-                ledger.observe(
-                    function.abbreviation,
-                    function.memory_gb,
-                    eng.invocation_elapsed_seconds(index),
-                    injector.copies() if injector is not None else 1,
-                )
-            thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
-            completed[s] += 1
-            eng.submit(mixers[machine].next(), machine=machine, thread_id=thread)
-            submitted[s] += 1
-
-        engine.add_finish_listener(on_finish)
-
-        epochs_total = int(round(self._horizon / self._epoch_seconds))
-
-        def emit(done: bool = False) -> None:
-            if progress is None:
-                return
-            progress(
-                self._progress_payload(
-                    "vector",
-                    scenarios_done=len(self._scenarios) if done else 0,
-                    epochs_done=engine.stats.epochs,
-                    epochs_total=epochs_total,
-                    completions=sum(completed),
-                    submissions=sum(submitted),
-                    counters=fault_counters,
-                    ledgers=ledgers,
-                    done=done,
-                )
-            )
-
-        # Per-epoch series sampling is duck-typed: a MetricsEmitter with a
-        # series budget exposes ``epoch_sample`` (repro.obs.series); plain
-        # callbacks don't, and pay nothing.  Sampling is read-only — it
-        # sums counters the engines already maintain — so it cannot
-        # perturb the simulated numbers.
-        sampler = (
-            None if progress is None else getattr(progress, "epoch_sample", None)
-        )
-
-        def sample_epoch() -> None:
-            injections = dropped = 0
-            billed = true = 0.0
-            for counter in fault_counters:
-                if counter is not None:
-                    injections += (
-                        counter.spike_submissions + counter.neighbor_submissions
-                    )
-            for ledger in ledgers:
-                if ledger is not None:
-                    dropped += ledger.dropped
-                    billed += ledger.billed_total
-                    true += ledger.true_total
-            sampler(
-                SeriesPoint(
-                    shard="",
-                    epoch=int(engine.stats.epochs),
-                    time_seconds=float(engine.time_seconds),
-                    completions=sum(completed),
-                    shared_stall_fraction=engine.fleet_shared_stall_fraction,
-                    fault_injections=injections,
-                    meter_dropped=dropped,
-                    billing_error_fraction=(
-                        (billed - true) / true if true > 0 else 0.0
-                    ),
-                )
-            )
-
-        def on_epoch() -> None:
-            if sampler is not None:
-                sample_epoch()
-            if progress is not None and engine.stats.epochs % 64 == 0:
-                emit()
-
-        def advance(until: float) -> None:
-            advance_to_boundary(engine, until, on_epoch=on_epoch)
-
-        active_factors: List[List[float]] = [[] for _ in self._scenarios]
-        for when, entries in sorted(boundaries.items()):
-            advance(when)
-            for s, action in entries:
-                scenario = self._scenarios[s]
-                first = machine_offset[s]
-                fleet = range(first, first + scenario.machines)
-                if action.kind == "burst-open":
-                    burst = _BurstState(
-                        fault=action.fault,
-                        end_seconds=action.window[1],
-                        mixers={
-                            machine: self._burst_mixer(
-                                scenario, action.fault, machine - first
-                            )
-                            for machine in fleet
-                        },
-                        scenario_index=s,
-                    )
-                    for machine in fleet:
-                        for _ in range(action.fault.count):
-                            index = engine.submit(
-                                burst.mixers[machine].next(), machine=machine
-                            )
-                            burst_of[index] = burst
-                            fault_counters[s].count_burst_submit(action.fault.type)
-                else:
-                    if action.kind == "throttle-open":
-                        active_factors[s].append(action.fault.factor)
-                    else:
-                        active_factors[s].remove(action.fault.factor)
-                    engine.set_frequency_scale(
-                        fleet, _throttle_scale(active_factors[s])
-                    )
-        advance(self._horizon)
-        emit(done=True)
+        drive = VectorDrive(self, "vector")
+        drive.progress = progress
+        drive.advance()
+        return drive.results()
 
     # ------------------------------------------------------------------ #
     # Scalar backend: the fast-path engine, machine by machine
@@ -889,7 +651,7 @@ class FleetSweep:
             cores = scenario.cores(spec)
             submitted = 0
             completed = 0
-            instructions = cycles = stall = l3 = 0.0
+            machine_counters = []
             boundaries = _fault_boundaries(scenario.faults, self._horizon)
             ledger = MeteringLedger() if self._scenario_metered(scenario) else None
             fault_counters = FaultCounters() if scenario.faults else None
@@ -980,11 +742,7 @@ class FleetSweep:
                         )
                 submitted += counts["submitted"]
                 completed += counts["completed"]
-                counters = engine.cpu.global_counters
-                instructions += counters.instructions
-                cycles += counters.cycles
-                stall += counters.stall_cycles_l2_miss
-                l3 += counters.l3_misses
+                machine_counters.append(engine.cpu.global_counters)
                 epochs_done += epochs_per_machine
                 if progress is not None:
                     progress(
@@ -1001,25 +759,15 @@ class FleetSweep:
                     )
             completions_total += completed
             submissions_total += submitted
-            self._fill_meter_counts(fault_counters, ledger)
             results.append(
-                ScenarioResult(
-                    name=scenario.name,
-                    backend="scalar",
-                    fleet_size=scenario.fleet_size(spec),
-                    machines=scenario.machines,
-                    colocation=scenario.colocation,
+                self._scenario_result(
+                    scenario,
+                    "scalar",
                     submitted=submitted,
                     completed=completed,
-                    simulated_seconds=self._horizon,
-                    instructions=instructions,
-                    cycles=cycles,
-                    stall_cycles=stall,
-                    l3_misses=l3,
-                    billing=None if ledger is None else ledger.freeze(),
-                    fault_stats=(
-                        None if fault_counters is None else fault_counters.freeze()
-                    ),
+                    machine_counters=machine_counters,
+                    ledger=ledger,
+                    fault_counters=fault_counters,
                 )
             )
         if progress is not None:
@@ -1037,3 +785,276 @@ class FleetSweep:
                 )
             )
         return results
+
+
+class VectorDrive:
+    """One vector engine advancing every scenario of a sweep, epoch by epoch.
+
+    The drive owns a :class:`FleetSweep`'s whole vector run: the engine and
+    fleet (seeded churn mixers, ledgers, fault counters, meter injectors),
+    the finish listener, and the horizon segmented at every fault boundary.
+    :meth:`advance` can stop after any epoch.  ``FleetSweep.run("vector")``
+    advances a drive to the horizon in one call and
+    :class:`repro.serve.StreamReplay` a chunk at a time, with the same
+    epochs and arithmetic, so their numbers agree bit for bit: each
+    segment's target is computed once, on entry, as ``time + (boundary -
+    time)``.  ``backend`` labels results and payloads.  :attr:`progress` is
+    never pickled, and unpickling re-attaches the finish listener.
+    """
+
+    def __init__(self, sweep: FleetSweep, backend: str) -> None:
+        #: The sweep this drive runs.
+        self.sweep = sweep
+        self.backend = backend
+        #: Progress callback (see ``repro.obs``), or None.
+        self.progress: Optional[ProgressCallback] = None
+        scenarios = self._scenarios = sweep.scenarios
+        spec = sweep.machine_spec
+        engine = self._engine = VectorEngine(
+            spec,
+            machines=sum(s.machines for s in scenarios),
+            config=VectorEngineConfig(epoch_seconds=sweep.epoch_seconds),
+            materialize_handles=False,
+            initial_capacity=max(4 * sweep.fleet_size, 1024),
+        )
+        self._ledgers: List[Optional[MeteringLedger]] = [
+            MeteringLedger() if sweep._scenario_metered(s) else None
+            for s in scenarios
+        ]
+        self._fault_counters: List[Optional[FaultCounters]] = [
+            FaultCounters(throttled_machine_epochs=sweep._nominal_throttled_epochs(s))
+            if s.faults
+            else None
+            for s in scenarios
+        ]
+        self._mixers: Dict[int, Mixer] = {}
+        self._injectors: Dict[int, MeterFaultInjector] = {}
+        self._scenario_of_machine = [s for s, sc in enumerate(scenarios) for _ in range(sc.machines)]
+        self._submitted = [0] * len(scenarios)
+        self._completed = [0] * len(scenarios)
+        self._machine_offset = [0] * len(scenarios)
+        boundaries: Dict[float, List[Tuple[int, _BoundaryAction]]] = {}
+        offset = 0
+        for s, scenario in enumerate(scenarios):
+            self._machine_offset[s] = offset
+            for index in range(scenario.machines):
+                machine = offset + index
+                mixer = self._mixers[machine] = sweep._make_mixer(scenario, index)
+                for thread in range(scenario.cores(spec)):
+                    for _ in range(scenario.colocation):
+                        engine.submit(mixer.next(), machine=machine, thread_id=thread)
+                        self._submitted[s] += 1
+                if self._ledgers[s] is not None:
+                    injector = sweep._meter_injector(scenario, index)
+                    if injector is not None:
+                        self._injectors[machine] = injector
+            for when, actions in _fault_boundaries(
+                scenario.faults, sweep.horizon_seconds
+            ):
+                boundaries.setdefault(when, []).extend((s, a) for a in actions)
+            offset += scenario.machines
+        self._burst_of: Dict[int, _BurstState] = {}
+        self._active_factors: List[List[float]] = [[] for _ in scenarios]
+
+        #: Every fault boundary in time order, then the horizon.
+        self._segments = sorted(boundaries.items()) + [(sweep.horizon_seconds, [])]
+        self._segment_index = 0
+        #: The current segment's float target, computed once on entry.
+        self._segment_target: Optional[float] = None
+        engine.add_finish_listener(self._on_finish)
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+    @property
+    def finished(self) -> bool:
+        """Whether the drive has reached the horizon."""
+        return self._segment_index >= len(self._segments)
+
+    @property
+    def time_seconds(self) -> float:
+        """Simulated time reached so far."""
+        return self._engine.time_seconds
+
+    @property
+    def epochs_done(self) -> int:
+        """Epochs stepped so far."""
+        return self._engine.stats.epochs
+
+    @property
+    def epochs_total(self) -> int:
+        """Nominal epoch count of the full horizon."""
+        return int(round(self.sweep.horizon_seconds / self.sweep.epoch_seconds))
+
+    @property
+    def completions(self) -> int:
+        """Steady-churn completions across every scenario."""
+        return sum(self._completed)
+
+    @property
+    def submissions(self) -> int:
+        """Steady-churn submissions across every scenario."""
+        return sum(self._submitted)
+
+    def progress_payload(self, *, done: bool = False) -> Dict[str, object]:
+        """A ``repro.obs`` metrics payload describing the current state."""
+        return self.sweep._progress_payload(
+            self.backend,
+            scenarios_done=len(self._scenarios) if done else 0,
+            epochs_done=self.epochs_done,
+            epochs_total=self.epochs_total,
+            completions=self.completions,
+            submissions=self.submissions,
+            counters=self._fault_counters,
+            ledgers=self._ledgers,
+            done=done,
+        )
+
+    def _series_point(self) -> SeriesPoint:
+        """One epoch's :class:`~repro.obs.series.SeriesPoint` reading."""
+        injections, dropped, _, billed, true = _fault_meter_totals(
+            self._fault_counters, self._ledgers
+        )
+        engine = self._engine
+        return SeriesPoint(
+            shard="",
+            epoch=int(engine.stats.epochs),
+            time_seconds=float(engine.time_seconds),
+            completions=self.completions,
+            shared_stall_fraction=engine.fleet_shared_stall_fraction,
+            fault_injections=injections,
+            meter_dropped=dropped,
+            billing_error_fraction=(billed - true) / true if true > 0 else 0.0,
+        )
+
+    # ------------------------------------------------------------------ #
+    # The drive loop
+    # ------------------------------------------------------------------ #
+    def _on_finish(self, index: object, eng: VectorEngine) -> None:
+        machine = int(eng.machine_of[index])
+        s = self._scenario_of_machine[machine]
+        burst = self._burst_of.pop(index, None)
+        if burst is not None:
+            self._fault_counters[s].count_burst_finish(burst.fault.type)
+            if eng.time_seconds < burst.end_seconds:
+                self._submit_burst(burst, s, machine)
+            return
+        ledger = self._ledgers[s]
+        if ledger is not None:
+            function = eng.invocation_spec(index)
+            injector = self._injectors.get(machine)
+            ledger.observe(
+                function.abbreviation,
+                function.memory_gb,
+                eng.invocation_elapsed_seconds(index),
+                injector.copies() if injector is not None else 1,
+            )
+        thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
+        self._completed[s] += 1
+        eng.submit(self._mixers[machine].next(), machine=machine, thread_id=thread)
+        self._submitted[s] += 1
+
+    def _submit_burst(self, burst: _BurstState, s: int, machine: int) -> None:
+        index = self._engine.submit(burst.mixers[machine].next(), machine=machine)
+        self._burst_of[index] = burst
+        self._fault_counters[s].count_burst_submit(burst.fault.type)
+
+    def _apply_boundary_actions(
+        self, entries: List[Tuple[int, _BoundaryAction]]
+    ) -> None:
+        for s, action in entries:
+            scenario = self._scenarios[s]
+            first = self._machine_offset[s]
+            fleet = range(first, first + scenario.machines)
+            if action.kind == "burst-open":
+                mixers = {
+                    machine: self.sweep._burst_mixer(scenario, action.fault, machine - first)
+                    for machine in fleet
+                }
+                burst = _BurstState(action.fault, action.window[1], mixers)
+                for machine in fleet:
+                    for _ in range(action.fault.count):
+                        self._submit_burst(burst, s, machine)
+            else:
+                if action.kind == "throttle-open":
+                    self._active_factors[s].append(action.fault.factor)
+                else:
+                    self._active_factors[s].remove(action.fault.factor)
+                self._engine.set_frequency_scale(
+                    fleet, _throttle_scale(self._active_factors[s])
+                )
+
+    def advance(self, max_epochs: Optional[int] = None) -> int:
+        """Step at most ``max_epochs`` epochs (all of them when None).
+
+        Returns the number stepped, which falls short only at the horizon.
+        A callback on :attr:`progress` gets a payload every 64 epochs and
+        one with ``done=True`` once the horizon is reached; one exposing
+        ``epoch_sample`` (a ``MetricsEmitter`` with a series budget, see
+        :mod:`repro.obs.series`) also gets a read-only reading per epoch.
+        """
+        if max_epochs is not None and max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
+        budget = float("inf") if max_epochs is None else max_epochs
+        engine = self._engine
+        progress = self.progress
+        sampler = None if progress is None else getattr(progress, "epoch_sample", None)
+        stepped = 0
+        while stepped < budget and not self.finished:
+            if self._segment_target is None:
+                until = self._segments[self._segment_index][0]
+                self._segment_target = engine.time_seconds + (
+                    until - engine.time_seconds
+                )
+            if engine.time_seconds < self._segment_target - 1e-12:
+                engine.run_epoch()
+                stepped += 1
+                if sampler is not None:
+                    sampler(self._series_point())
+                if progress is not None and engine.stats.epochs % 64 == 0:
+                    progress(self.progress_payload())
+                continue
+            self._apply_boundary_actions(self._segments[self._segment_index][1])
+            self._segment_index += 1
+            self._segment_target = None
+        if self.finished and progress is not None:
+            progress(self.progress_payload(done=True))
+        return stepped
+
+    # ------------------------------------------------------------------ #
+    # Results and pickling
+    # ------------------------------------------------------------------ #
+    def billing(self) -> List[Optional[TenantBilling]]:
+        """Each scenario's billing so far, or None where it is unmetered."""
+        return [None if ledger is None else ledger.freeze() for ledger in self._ledgers]
+
+    def results(self) -> List[ScenarioResult]:
+        """Per-scenario results so far (final once :attr:`finished`)."""
+        engine = self._engine
+        return [
+            self.sweep._scenario_result(
+                scenario,
+                self.backend,
+                submitted=self._submitted[s],
+                completed=self._completed[s],
+                machine_counters=map(
+                    engine.machine_counters, range(first, first + scenario.machines)
+                ),
+                ledger=self._ledgers[s],
+                fault_counters=self._fault_counters[s],
+            )
+            for s, (scenario, first) in enumerate(
+                zip(self._scenarios, self._machine_offset)
+            )
+        ]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The engine drops its finish listeners itself (see
+        # VectorEngine.__getstate__).
+        state = self.__dict__.copy()
+        state["progress"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._engine.add_finish_listener(self._on_finish)

@@ -34,8 +34,9 @@ from repro.serve.replay import StreamReplay
 
 #: Bump whenever the replay's pickled layout changes incompatibly.  2: the
 #: vector engine keeps per-invocation state in one float block and its
-#: spec table in one flat profile table.
-CHECKPOINT_VERSION = 2
+#: spec table in one flat profile table.  3: the replay holds its fleet in
+#: one ``VectorDrive``.
+CHECKPOINT_VERSION = 3
 
 _FORMAT = "repro-stream-checkpoint"
 

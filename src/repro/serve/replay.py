@@ -1,24 +1,18 @@
 """The resumable streaming replay state machine.
 
-:class:`StreamReplay` drives one :class:`~repro.platform.batch.VectorEngine`
-through the exact epoch/submit sequence of the batch sweep's instrumented
-vector path (``FleetSweep._run_vector_instrumented``), but pausable after
-*any* epoch.  Bit-exactness falls out of two invariants:
-
-* The horizon is segmented at the same fault boundaries, and each
-  segment's float target is computed **once**, on segment entry, with the
-  batch loop's own ``target = time + (boundary - time)`` arithmetic —
-  at that moment the engine clock equals the batch run's clock at the same
-  point, so the targets are bit-identical no matter where the chunk
-  boundaries fall.
-* Completions resubmit churn through the very same listener logic, so the
-  engine sees an identical submission stream.
+:class:`StreamReplay` advances the same
+:class:`~repro.platform.batch.VectorDrive` as ``FleetSweep.run("vector")``,
+a trace chunk at a time.  The drive can stop after any epoch and computes
+each fault segment's float target once, on segment entry, so the epochs
+and submissions are those of the batch run no matter where the chunk
+boundaries fall.  Around the drive the replay adds the chunking, the
+per-tenant billing deltas, its wall clock and checkpointing.
 
 The whole object pickles (that is the checkpoint format — see
 :mod:`repro.serve.checkpoint`): one pickle preserves object identity
 between the mixer pools and the engine's spec table, so a restored run
-continues bit-exact.  Progress callbacks are excluded from the pickle and
-finish listeners are re-attached on restore.
+continues bit-exact.  The drive leaves its progress callback out of the
+pickle and re-attaches its finish listener on restore.
 """
 
 from __future__ import annotations
@@ -28,22 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import diskcache
-from repro.obs.series import SeriesPoint
-from repro.platform.batch.sweep import (
-    FleetSweepResult,
-    ProgressCallback,
-    ScenarioResult,
-    _BoundaryAction,
-    _BurstState,
-    _fault_boundaries,
-    _throttle_scale,
-)
-from repro.platform.batch.vector_engine import VectorEngine, VectorEngineConfig
-from repro.platform.faults import FaultCounters
-from repro.platform.metering import MeterFaultInjector, MeteringLedger
+from repro.platform.batch.sweep import FleetSweepResult, ProgressCallback, VectorDrive
 from repro.scenarios.spec import CompiledSweep
 from repro.scenarios.trace import TraceChunk
-from repro.workloads.synthetic import Mixer
 
 #: The streamed backend label on emitted results and metrics payloads.
 STREAM_BACKEND = "stream"
@@ -91,98 +72,21 @@ class ChunkResult:
 class StreamReplay:
     """Incremental, checkpointable replay of one compiled sweep.
 
-    Construction performs the batch sweep's full setup (engine, seeded
-    churn mixers, initial fleet submission, ledgers, fault plumbing) but
-    steps zero epochs; :meth:`ingest` / :meth:`advance_epochs` move time
-    forward.  ``meter`` defaults to True — a billing service that does not
-    meter is not billing — and matches the batch reference runs the
-    differential tests compare against (``FleetSweep(meter=True)``).
+    Construction performs the batch sweep's full setup (a
+    :class:`~repro.platform.batch.VectorDrive`) but steps zero epochs;
+    :meth:`ingest` / :meth:`advance_epochs` move time forward.  ``meter``
+    defaults to True — a billing service that does not meter is not
+    billing — and matches the batch reference runs the differential tests
+    compare against (``FleetSweep(meter=True)``).
     """
 
     def __init__(self, compiled: CompiledSweep, *, meter: bool = True) -> None:
-        self._sweep = compiled.sweep(meter=meter)
+        self._drive = VectorDrive(compiled.sweep(meter=meter), STREAM_BACKEND)
         self._fingerprint = diskcache.fingerprint(compiled.spec)
-        sweep = self._sweep
-        scenarios = sweep.scenarios
-        spec = sweep.machine_spec
-        total_machines = sum(s.machines for s in scenarios)
-        self._engine = VectorEngine(
-            spec,
-            machines=total_machines,
-            config=VectorEngineConfig(epoch_seconds=sweep.epoch_seconds),
-            materialize_handles=False,
-            initial_capacity=max(4 * sweep.fleet_size, 1024),
-        )
-        self._scenarios = scenarios
-        self._mixers: Dict[int, Mixer] = {}
-        self._scenario_of_machine: Dict[int, int] = {}
-        self._submitted = [0] * len(scenarios)
-        self._completed = [0] * len(scenarios)
-        self._machine_offset = [0] * len(scenarios)
-
-        offset = 0
-        for s, scenario in enumerate(scenarios):
-            cores = scenario.cores(spec)
-            self._machine_offset[s] = offset
-            for machine in range(offset, offset + scenario.machines):
-                self._scenario_of_machine[machine] = s
-                self._mixers[machine] = sweep._make_mixer(scenario, machine - offset)
-                for thread in range(cores):
-                    for _ in range(scenario.colocation):
-                        self._engine.submit(
-                            self._mixers[machine].next(),
-                            machine=machine,
-                            thread_id=thread,
-                        )
-                        self._submitted[s] += 1
-            offset += scenario.machines
-
-        self._ledgers: List[Optional[MeteringLedger]] = [
-            MeteringLedger() if sweep._scenario_metered(s) else None
-            for s in scenarios
-        ]
-        self._fault_counters: List[Optional[FaultCounters]] = [
-            FaultCounters() if s.faults else None for s in scenarios
-        ]
-        boundaries: Dict[float, List[Tuple[int, _BoundaryAction]]] = {}
-        for s, scenario in enumerate(scenarios):
-            if self._fault_counters[s] is not None:
-                self._fault_counters[s].throttled_machine_epochs = (
-                    sweep._nominal_throttled_epochs(scenario)
-                )
-            for when, actions in _fault_boundaries(
-                scenario.faults, sweep.horizon_seconds
-            ):
-                boundaries.setdefault(when, []).extend((s, a) for a in actions)
-
-        self._injectors: Dict[int, MeterFaultInjector] = {}
-        for machine, s in self._scenario_of_machine.items():
-            if self._ledgers[s] is not None:
-                injector = sweep._meter_injector(
-                    scenarios[s], machine - self._machine_offset[s]
-                )
-                if injector is not None:
-                    self._injectors[machine] = injector
-        self._burst_of: Dict[int, _BurstState] = {}
-        self._active_factors: List[List[float]] = [[] for _ in scenarios]
-
-        #: The batch drive loop, flattened: every fault boundary in time
-        #: order, then a sentinel segment ending at the horizon (the batch
-        #: code's trailing ``advance(self._horizon)``).
-        self._segments: List[Tuple[float, List[Tuple[int, _BoundaryAction]]]] = sorted(
-            boundaries.items()
-        )
-        self._segments.append((sweep.horizon_seconds, []))
-        self._segment_index = 0
-        #: The current segment's float target, computed once on entry.
-        self._segment_target: Optional[float] = None
-
         self._chunks_ingested = 0
         self._wall_seconds = 0.0
         #: Cumulative per-tenant sums already emitted as BillingRecords.
         self._published: Dict[Tuple[int, str], Tuple[float, float]] = {}
-        self._progress: Optional[ProgressCallback] = None
-        self._engine.add_finish_listener(self._on_finish)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -195,22 +99,22 @@ class StreamReplay:
     @property
     def finished(self) -> bool:
         """Whether the replay has reached the horizon."""
-        return self._segment_index >= len(self._segments)
+        return self._drive.finished
 
     @property
     def time_seconds(self) -> float:
         """Simulated time reached so far."""
-        return self._engine.time_seconds
+        return self._drive.time_seconds
 
     @property
     def epochs_done(self) -> int:
         """Epochs stepped so far."""
-        return self._engine.stats.epochs
+        return self._drive.epochs_done
 
     @property
     def epochs_total(self) -> int:
         """Nominal epoch count of the full horizon."""
-        return int(round(self._sweep.horizon_seconds / self._sweep.epoch_seconds))
+        return self._drive.epochs_total
 
     @property
     def chunks_ingested(self) -> int:
@@ -220,12 +124,12 @@ class StreamReplay:
     @property
     def completions(self) -> int:
         """Steady-churn completions across every scenario."""
-        return sum(self._completed)
+        return self._drive.completions
 
     @property
     def submissions(self) -> int:
         """Steady-churn submissions across every scenario."""
-        return sum(self._submitted)
+        return self._drive.submissions
 
     def set_progress(self, progress: Optional[ProgressCallback]) -> None:
         """Attach a progress callback (``repro.obs`` payload consumer).
@@ -233,163 +137,32 @@ class StreamReplay:
         Deliberately not a constructor argument: callbacks are transient
         wiring, never checkpoint state, and restored replays start bare.
         """
-        self._progress = progress
+        self._drive.progress = progress
 
     def progress_payload(self, *, done: bool = False) -> Dict[str, object]:
         """A ``repro.obs`` metrics payload describing the current state."""
-        return self._sweep._progress_payload(
-            STREAM_BACKEND,
-            scenarios_done=len(self._scenarios) if done else 0,
-            epochs_done=self.epochs_done,
-            epochs_total=self.epochs_total,
-            completions=self.completions,
-            submissions=self.submissions,
-            counters=self._fault_counters,
-            ledgers=self._ledgers,
-            done=done,
-        )
-
-    def _series_point(self) -> SeriesPoint:
-        """One epoch's :class:`~repro.obs.series.SeriesPoint` reading."""
-        injections = dropped = 0
-        billed = true = 0.0
-        for counter in self._fault_counters:
-            if counter is not None:
-                injections += (
-                    counter.spike_submissions + counter.neighbor_submissions
-                )
-        for ledger in self._ledgers:
-            if ledger is not None:
-                dropped += ledger.dropped
-                billed += ledger.billed_total
-                true += ledger.true_total
-        return SeriesPoint(
-            shard="",
-            epoch=int(self._engine.stats.epochs),
-            time_seconds=float(self._engine.time_seconds),
-            completions=self.completions,
-            shared_stall_fraction=self._engine.fleet_shared_stall_fraction,
-            fault_injections=injections,
-            meter_dropped=dropped,
-            billing_error_fraction=(
-                (billed - true) / true if true > 0 else 0.0
-            ),
-        )
+        return self._drive.progress_payload(done=done)
 
     # ------------------------------------------------------------------ #
-    # The drive loop
+    # Chunks
     # ------------------------------------------------------------------ #
-    def _on_finish(self, index: object, eng: VectorEngine) -> None:
-        # Bit-for-bit replica of the batch instrumented path's listener.
-        machine = int(eng.machine_of[index])
-        s = self._scenario_of_machine[machine]
-        burst = self._burst_of.pop(index, None)
-        if burst is not None:
-            self._fault_counters[s].count_burst_finish(burst.fault.type)
-            if eng.time_seconds < burst.end_seconds:
-                replacement = eng.submit(burst.mixers[machine].next(), machine=machine)
-                self._burst_of[replacement] = burst
-                self._fault_counters[s].count_burst_submit(burst.fault.type)
-            return
-        ledger = self._ledgers[s]
-        if ledger is not None:
-            function = eng.invocation_spec(index)
-            injector = self._injectors.get(machine)
-            ledger.observe(
-                function.abbreviation,
-                function.memory_gb,
-                eng.invocation_elapsed_seconds(index),
-                injector.copies() if injector is not None else 1,
-            )
-        thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
-        self._completed[s] += 1
-        eng.submit(self._mixers[machine].next(), machine=machine, thread_id=thread)
-        self._submitted[s] += 1
-
-    def _apply_boundary_actions(
-        self, entries: List[Tuple[int, _BoundaryAction]]
-    ) -> None:
-        sweep = self._sweep
-        engine = self._engine
-        for s, action in entries:
-            scenario = self._scenarios[s]
-            first = self._machine_offset[s]
-            fleet = range(first, first + scenario.machines)
-            if action.kind == "burst-open":
-                burst = _BurstState(
-                    fault=action.fault,
-                    end_seconds=action.window[1],
-                    mixers={
-                        machine: sweep._burst_mixer(
-                            scenario, action.fault, machine - first
-                        )
-                        for machine in fleet
-                    },
-                    scenario_index=s,
-                )
-                for machine in fleet:
-                    for _ in range(action.fault.count):
-                        index = engine.submit(
-                            burst.mixers[machine].next(), machine=machine
-                        )
-                        self._burst_of[index] = burst
-                        self._fault_counters[s].count_burst_submit(action.fault.type)
-            else:
-                if action.kind == "throttle-open":
-                    self._active_factors[s].append(action.fault.factor)
-                else:
-                    self._active_factors[s].remove(action.fault.factor)
-                engine.set_frequency_scale(
-                    fleet, _throttle_scale(self._active_factors[s])
-                )
-
     def advance_epochs(self, max_epochs: int) -> int:
         """Step at most ``max_epochs`` epochs; returns the number stepped.
 
         Fewer are stepped only when the horizon is reached.  Boundary
         actions consume no epochs, exactly as in the batch loop.
         """
-        if max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        engine = self._engine
-        # Duck-typed per-epoch sampler (see repro.obs.series): a
-        # MetricsEmitter with a series budget exposes ``epoch_sample``;
-        # anything else costs nothing per epoch.  Read-only by design.
-        sampler = (
-            None
-            if self._progress is None
-            else getattr(self._progress, "epoch_sample", None)
-        )
         start = time.perf_counter()
-        stepped = 0
-        while stepped < max_epochs and not self.finished:
-            if self._segment_target is None:
-                until = self._segments[self._segment_index][0]
-                self._segment_target = engine.time_seconds + (
-                    until - engine.time_seconds
-                )
-            if engine.time_seconds < self._segment_target - 1e-12:
-                engine.run_epoch()
-                stepped += 1
-                if sampler is not None:
-                    sampler(self._series_point())
-                if self._progress is not None and engine.stats.epochs % 64 == 0:
-                    self._progress(self.progress_payload())
-                continue
-            self._apply_boundary_actions(self._segments[self._segment_index][1])
-            self._segment_index += 1
-            self._segment_target = None
-        if self.finished and self._progress is not None:
-            self._progress(self.progress_payload(done=True))
+        stepped = self._drive.advance(max_epochs)
         self._wall_seconds += time.perf_counter() - start
         return stepped
 
     def _drain_records(self, chunk_index: int) -> Tuple[BillingRecord, ...]:
         records: List[BillingRecord] = []
-        for s, ledger in enumerate(self._ledgers):
-            if ledger is None:
+        scenarios = self._drive.sweep.scenarios
+        for s, billing in enumerate(self._drive.billing()):
+            if billing is None:
                 continue
-            billing = ledger.freeze()
             billed = dict(billing.billed_gb_seconds)
             for function, true_total in billing.true_gb_seconds:
                 billed_total = billed.get(function, 0.0)
@@ -399,7 +172,7 @@ class StreamReplay:
                 records.append(
                     BillingRecord(
                         chunk=chunk_index,
-                        scenario=self._scenarios[s].name,
+                        scenario=scenarios[s].name,
                         function=function,
                         true_gb_seconds=true_total - seen_true,
                         billed_gb_seconds=billed_total - seen_billed,
@@ -408,19 +181,22 @@ class StreamReplay:
                 self._published[(s, function)] = (true_total, billed_total)
         return tuple(records)
 
-    def ingest(self, chunk: TraceChunk) -> ChunkResult:
-        """Consume one trace chunk: advance its epochs, emit the deltas."""
-        epochs = self.advance_epochs(chunk.epochs)
-        self._chunks_ingested += 1
+    def _chunk_result(self, chunk_index: int, epochs: int) -> ChunkResult:
         return ChunkResult(
-            chunk=chunk.index,
+            chunk=chunk_index,
             epochs=epochs,
             time_seconds=self.time_seconds,
             completions=self.completions,
             submissions=self.submissions,
             done=self.finished,
-            records=self._drain_records(chunk.index),
+            records=self._drain_records(chunk_index),
         )
+
+    def ingest(self, chunk: TraceChunk) -> ChunkResult:
+        """Consume one trace chunk: advance its epochs, emit the deltas."""
+        epochs = self.advance_epochs(chunk.epochs)
+        self._chunks_ingested += 1
+        return self._chunk_result(chunk.index, epochs)
 
     def drain(self, *, chunk_index: int = -1) -> ChunkResult:
         """Run any residual epochs to the horizon and flush final deltas.
@@ -433,15 +209,7 @@ class StreamReplay:
         epochs = 0
         while not self.finished:
             epochs += self.advance_epochs(1024)
-        return ChunkResult(
-            chunk=chunk_index,
-            epochs=epochs,
-            time_seconds=self.time_seconds,
-            completions=self.completions,
-            submissions=self.submissions,
-            done=True,
-            records=self._drain_records(chunk_index),
-        )
+        return self._chunk_result(chunk_index, epochs)
 
     # ------------------------------------------------------------------ #
     # Results
@@ -449,70 +217,13 @@ class StreamReplay:
     def result(self) -> FleetSweepResult:
         """The sweep result so far (bit-exact vs batch once finished).
 
-        Mirrors the batch vector path's result assembly; ``backend`` is
-        :data:`STREAM_BACKEND` so streamed results are distinguishable,
-        and the differential tests compare every other field.
+        ``backend`` is :data:`STREAM_BACKEND` so streamed results are
+        distinguishable, and the differential tests compare every other
+        field.
         """
-        sweep = self._sweep
-        engine = self._engine
-        for s in range(len(self._scenarios)):
-            sweep._fill_meter_counts(self._fault_counters[s], self._ledgers[s])
-        results: List[ScenarioResult] = []
-        offset = 0
-        for s, scenario in enumerate(self._scenarios):
-            machines = range(offset, offset + scenario.machines)
-            instructions = cycles = stall = l3 = 0.0
-            for machine in machines:
-                counters = engine.machine_counters(machine)
-                instructions += counters.instructions
-                cycles += counters.cycles
-                stall += counters.stall_cycles_l2_miss
-                l3 += counters.l3_misses
-            results.append(
-                ScenarioResult(
-                    name=scenario.name,
-                    backend=STREAM_BACKEND,
-                    fleet_size=scenario.fleet_size(sweep.machine_spec),
-                    machines=scenario.machines,
-                    colocation=scenario.colocation,
-                    submitted=self._submitted[s],
-                    completed=self._completed[s],
-                    simulated_seconds=sweep.horizon_seconds,
-                    instructions=instructions,
-                    cycles=cycles,
-                    stall_cycles=stall,
-                    l3_misses=l3,
-                    billing=(
-                        None if self._ledgers[s] is None else self._ledgers[s].freeze()
-                    ),
-                    fault_stats=(
-                        None
-                        if self._fault_counters[s] is None
-                        else self._fault_counters[s].freeze()
-                    ),
-                )
-            )
-            offset += scenario.machines
         return FleetSweepResult(
             backend=STREAM_BACKEND,
-            scenarios=tuple(results),
+            scenarios=tuple(self._drive.results()),
             wall_seconds=self._wall_seconds,
-            horizon_seconds=sweep.horizon_seconds,
+            horizon_seconds=self._drive.sweep.horizon_seconds,
         )
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint support
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> Dict[str, object]:
-        # Progress callbacks are transient wiring (queues, emitters) and
-        # must never leak into a checkpoint; the engine drops its finish
-        # listeners itself (see VectorEngine.__getstate__).
-        state = self.__dict__.copy()
-        state["_progress"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        # The pickled engine carries no listeners; re-attach ours so the
-        # restored replay resumes the identical churn stream.
-        self._engine.add_finish_listener(self._on_finish)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.platform.batch import (
@@ -20,6 +22,11 @@ def tiny_grid():
     return scenario_grid(
         ["all", "memory-intensive"], [1, 2], [1], cores_per_machine=3, seed=5
     )
+
+
+def _die_in_worker(job):
+    """A shard worker killed before it returns (as by the OOM killer)."""
+    os._exit(3)
 
 
 class TestPartitioning:
@@ -186,6 +193,30 @@ class TestCLISpecPath:
         assert record["spec"] == "smoke"
         assert record["shards"] == 2
         assert len(record["shard_seconds"]) == 2
+
+    @pytest.mark.parametrize("metrics", [False, True])
+    def test_dead_shard_worker_ends_in_one_line(
+        self, metrics, tmp_path, monkeypatch, capsys
+    ):
+        """Exit 1 and one stderr line; with --metrics-out the run's root
+        span is still written."""
+        import json
+
+        import repro.platform.batch.shard as shard
+        from repro.cli import main
+
+        monkeypatch.setattr(shard, "_run_shard", _die_in_worker)
+        out = tmp_path / "metrics.jsonl"
+        argv = ["sweep", "--spec", "smoke", "--shards", "2", "--no-bench"]
+        code = main(argv + (["--metrics-out", str(out)] if metrics else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "shard worker" in err
+        if metrics:
+            records = [json.loads(line) for line in out.read_text().splitlines()]
+            spans = [r for r in records if r["kind"] == "span"]
+            assert [s["name"] for s in spans if not s["parent_id"]] == ["sweep"]
 
     def test_spec_conflicts_with_grid_flags(self, capsys):
         from repro.cli import main

@@ -176,14 +176,14 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_refuses_an_older_version(tmp_path):
-    """A version-1 envelope stops with the one-line version error before
+    """A version-2 envelope stops with the one-line version error before
     its state is unpickled, rather than failing mid-run."""
     replay = StreamReplay(_compiled("smoke"))
     path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    envelope["checkpoint_version"] = 1
+    envelope["checkpoint_version"] = 2
     path.write_text(json.dumps(envelope), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="has version 1, expected 2") as caught:
+    with pytest.raises(CheckpointError, match="has version 2, expected 3") as caught:
         load_checkpoint(path, expect_fingerprint=replay.fingerprint)
     assert "\n" not in str(caught.value)
 
@@ -261,7 +261,7 @@ def test_checkpoint_envelope_is_inspectable_json(tmp_path):
     replay.ingest(TraceChunk(index=0, start_epoch=0, end_epoch=10))
     path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["checkpoint_version"] == 2
+    assert envelope["checkpoint_version"] == 3
     assert envelope["fingerprint"] == replay.fingerprint
     assert envelope["chunks_ingested"] == 1
     assert envelope["epochs_done"] == 10
