@@ -48,7 +48,7 @@ from repro.calibrate.drift import DriftInjector
 from repro.calibrate.measure import MeasureConfig, measure_series
 from repro.calibrate.profile import HardwareProfile, get_param, set_param
 from repro.obs.metrics import CalibrationEvent
-from repro.obs.trace import SpanContext, Tracer
+from repro.obs.trace import SpanContext, Tracer, TraceSpan
 
 #: Diskcache kind for published fits (entries: ``calibration-fit-<key>.json``).
 PUBLISH_KIND = "calibration-fit"
@@ -302,6 +302,69 @@ class RoundResult:
     measured: Tuple[float, ...] = ()
 
 
+def _search_and_publish(
+    nominal: HardwareProfile,
+    config: CalibrationConfig,
+    probe: List[float],
+    *,
+    round_index: int,
+    measure_config: Optional[MeasureConfig] = None,
+    observer: Optional[Observer] = None,
+    tracer: Optional[Tracer] = None,
+    search_span: Optional[TraceSpan] = None,
+) -> RoundResult:
+    """Score the grid against ``probe``, republish the best fit, report it.
+
+    The tail of every searching round: ``grid_search``, closing the open
+    ``search_span``, the argmin, the atomic republish, the ``republish``
+    event and the :class:`RoundResult`.  The result reads as a
+    single-shot round — the fit's own MAPE, the probe as the measured
+    window; a drift-check round replaces both with its own window's.
+    """
+    scores = grid_search(
+        nominal,
+        config,
+        probe,
+        measure_config=measure_config,
+        round_index=round_index,
+        observer=observer,
+    )
+    if search_span is not None:
+        search_span.tags["candidates"] = len(scores)
+        tracer.finish(search_span)
+    best = best_candidate(scores)
+    _, payload, _ = publish_fit(
+        nominal,
+        config,
+        value=best.value,
+        fit_mape=best.mape,
+        round_index=round_index,
+    )
+    if observer is not None:
+        observer(
+            CalibrationEvent(
+                kind="republish",
+                round_index=round_index,
+                parameter=config.parameter,
+                value=best.value,
+                mape=best.mape,
+                threshold=config.drift_mape_threshold,
+                fingerprint=payload["fingerprint"],
+            )
+        )
+    return RoundResult(
+        round_index=round_index,
+        windowed_mape=best.mape,
+        drift_detected=True,
+        scores=tuple(scores),
+        best=best,
+        fit_fingerprint=payload["fingerprint"],
+        incumbent_value=best.value,
+        converged=best.mape <= config.drift_mape_threshold,
+        measured=tuple(probe),
+    )
+
+
 class ContinuousCalibrator:
     """Measure → predict → detect → search → republish, round after round.
 
@@ -344,10 +407,6 @@ class ContinuousCalibrator:
     @property
     def incumbent(self) -> HardwareProfile:
         return self._incumbent
-
-    @property
-    def rounds_run(self) -> int:
-        return self._round
 
     def _emit(self, event: CalibrationEvent) -> None:
         if self._observer is not None:
@@ -445,49 +504,19 @@ class ContinuousCalibrator:
             drift=self._drift,
         )
         self._advance(config.mape_window_epochs)
-        scores = grid_search(
+        result = _search_and_publish(
             self._nominal,
             config,
             probe,
+            round_index=round_index,
             measure_config=measure_config,
-            round_index=round_index,
             observer=self._observer,
+            tracer=self._tracer,
+            search_span=search_span,
         )
-        if search_span is not None:
-            search_span.tags["candidates"] = len(scores)
-            self._tracer.finish(search_span)
-        best = best_candidate(scores)
-        self._incumbent = set_param(self._nominal, config.parameter, best.value)
-        _, payload, _ = publish_fit(
-            self._nominal,
-            config,
-            value=best.value,
-            fit_mape=best.mape,
-            round_index=round_index,
-        )
+        self._incumbent = set_param(self._nominal, config.parameter, result.best.value)
         self._apes.clear()
-        self._emit(
-            CalibrationEvent(
-                kind="republish",
-                round_index=round_index,
-                parameter=config.parameter,
-                value=best.value,
-                mape=best.mape,
-                threshold=config.drift_mape_threshold,
-                fingerprint=payload["fingerprint"],
-            )
-        )
-        return RoundResult(
-            round_index=round_index,
-            windowed_mape=windowed,
-            drift_detected=True,
-            scores=tuple(scores),
-            best=best,
-            fit_fingerprint=payload["fingerprint"],
-            incumbent_value=best.value,
-            converged=best.mape <= config.drift_mape_threshold,
-            measured=tuple(measured),
-        )
+        return dataclasses.replace(result, windowed_mape=windowed, measured=tuple(measured))
 
     def run(self, rounds: int) -> List[RoundResult]:
         """Run ``rounds`` drift-check rounds (the ``--watch`` loop body)."""
@@ -530,45 +559,15 @@ def calibrate_once(
     search_span = (
         None if tracer is None else tracer.start("search", tags={"phase": "search"})
     )
-    scores = grid_search(
+    result = _search_and_publish(
         nominal,
         config,
         probe,
-        observer=observer,
-    )
-    best = best_candidate(scores)
-    if search_span is not None:
-        search_span.tags["candidates"] = len(scores)
-        tracer.finish(search_span)
-    _, payload, _ = publish_fit(
-        nominal,
-        config,
-        value=best.value,
-        fit_mape=best.mape,
         round_index=0,
+        observer=observer,
+        tracer=tracer,
+        search_span=search_span,
     )
-    if observer is not None:
-        observer(
-            CalibrationEvent(
-                kind="republish",
-                round_index=0,
-                parameter=config.parameter,
-                value=best.value,
-                mape=best.mape,
-                threshold=config.drift_mape_threshold,
-                fingerprint=payload["fingerprint"],
-            )
-        )
     if round_span is not None:
         tracer.finish(round_span)
-    return RoundResult(
-        round_index=0,
-        windowed_mape=best.mape,
-        drift_detected=True,
-        scores=tuple(scores),
-        best=best,
-        fit_fingerprint=payload["fingerprint"],
-        incumbent_value=best.value,
-        converged=best.mape <= config.drift_mape_threshold,
-        measured=tuple(probe),
-    )
+    return result

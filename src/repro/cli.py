@@ -29,8 +29,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro import benchlog
 from repro._version import __version__
 from repro.experiments.runner import (
     FIGURE_MODULES,
@@ -39,9 +40,7 @@ from repro.experiments.runner import (
     resolve_runner,
     run_figures,
 )
-
-#: Backward-compatible alias (the mapping moved to ``repro.experiments.runner``).
-_resolve_runner = resolve_runner
+from repro.obs import JsonlWriter, MetricsEmitter, RunTelemetry, SeriesPoint
 
 
 def _command_list(_: argparse.Namespace) -> int:
@@ -101,8 +100,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"{len(report.runs)} figure(s), jobs={report.jobs}: "
         f"{report.wall_seconds:.1f}s wall, {total_cpu:.1f}s figure time"
     )
-    if report.bench_path is not None:
-        print(f"[trajectory appended to {report.bench_path}]")
+    print(f"[trajectory appended to {report.bench_path}]")
     if args.check:
         if report.mismatches:
             for run in report.mismatches:
@@ -196,10 +194,23 @@ _SPEC_CONFLICT_FLAGS = (
 )
 
 
+def _append_bench(
+    args: argparse.Namespace,
+    figures: Mapping[str, float],
+    source: str,
+    extra: Dict[str, Any],
+) -> None:
+    """Append the run's record to the BENCH trajectory unless ``--no-bench``."""
+    if args.no_bench:
+        return
+    path = Path(args.bench_json or benchlog.default_path(Path("results")))
+    written = benchlog.append_run(figures, source=source, path=path, extra=extra)
+    print(f"[trajectory appended to {written}]")
+
+
 def _command_sweep(args: argparse.Namespace) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro import benchlog
     from repro.hardware.topology import CASCADE_LAKE_5218
     from repro.platform.batch import FleetSweep, run_sharded, scenario_grid
     from repro.scenarios import (
@@ -212,7 +223,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    metrics_enabled = args.metrics or args.metrics_out is not None
 
     spec = None
     compiled = None
@@ -313,37 +323,22 @@ def _command_sweep(args: argparse.Namespace) -> int:
         flush=True,
     )
 
-    collector = None
-    metrics_queue = None
-    manager = None
-    tracer = None
-    root_span = None
-    series_budget = args.series_budget if args.series_budget else None
-    if metrics_enabled:
-        import multiprocessing
-
-        from repro.obs import MetricsCollector, Tracer
-
-        manager = multiprocessing.Manager()
-        metrics_queue = manager.Queue()
-        collector = MetricsCollector(
-            metrics_queue,
-            stream=sys.stderr,
-            out_path=Path(args.metrics_out) if args.metrics_out else None,
-        ).start()
-        # One root span per run; shard workers parent on it through the
-        # queue, so the whole sharded sweep files into a single trace.
-        tracer = Tracer(sink=metrics_queue.put)
-        root_span = tracer.start(
-            "sweep",
-            tags={
-                "phase": "sweep",
-                "backend": backend,
-                "shards": shards,
-                "scenarios": len(scenarios),
-                **({"spec": spec.name} if spec is not None else {}),
-            },
-        )
+    # One root span per run; shard workers parent on it through the
+    # queue, so the whole sharded sweep files into a single trace.
+    telemetry = RunTelemetry(
+        "sweep",
+        tags={
+            "phase": "sweep",
+            "backend": backend,
+            "shards": shards,
+            "scenarios": len(scenarios),
+            **({"spec": spec.name} if spec is not None else {}),
+        },
+        out_path=args.metrics_out,
+        enabled=args.metrics or args.metrics_out is not None,
+        progress=True,
+        processes=shards > 1,
+    )
 
     def execute(run_backend: str, scenario_list=None, *, meter=False, label=""):
         return run_sharded(
@@ -355,10 +350,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
             epoch_seconds=epoch_seconds,
             registry_scale=registry_scale,
             meter=meter,
-            metrics_queue=metrics_queue,
+            metrics_queue=telemetry.queue,
             metrics_label=label,
-            trace=None if root_span is None else root_span.context(),
-            series_budget=series_budget,
+            trace=telemetry.context(),
+            series_budget=args.series_budget or None,
         )
 
     figures = {}
@@ -371,105 +366,81 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if spec is not None:
         extra["spec"] = spec.name
     worker_died = False
-    try:
-        if has_faults:
-            # Faulted sweeps run twice on the same grid: once with the faults
-            # stripped (the pricing-accuracy baseline), once as declared.
-            baseline = execute(backend, compiled.without_faults().scenarios,
-                               meter=True, label="base:")
-            faulted = execute(backend, meter=True, label="fault:")
-            report = DegradationReport.build(baseline.result, faulted.result)
-            print(faulted.render())
-            print(report.render())
-            print(
-                f"{faulted.completed} invocations completed in "
-                f"{faulted.wall_seconds:.2f}s wall (+{baseline.wall_seconds:.2f}s "
-                f"baseline) [{faulted.result.backend}, {faulted.shards} shard(s)]"
-            )
-            figures[f"fleet-sweep-{faulted.result.backend}"] = faulted.wall_seconds
-            extra.update(
-                backend=faulted.result.backend,
-                completed=faulted.completed,
-                baseline_completed=baseline.completed,
-                shards=faulted.shards,
-                shard_seconds=[round(t.wall_seconds, 4) for t in faulted.shard_timings],
-                baseline_wall_seconds=round(baseline.wall_seconds, 4),
-                fault_report=report.to_dict(),
-            )
-        elif args.compare:
-            vector = execute("vector")
-            scalar = execute("scalar")
-            speedup = scalar.wall_seconds / max(vector.wall_seconds, 1e-9)
-            print(vector.render())
-            print(scalar.render())
-            print(
-                f"vector {vector.wall_seconds:.2f}s vs scalar fast-path "
-                f"{scalar.wall_seconds:.2f}s -> {speedup:.1f}x speedup "
-                f"[{vector.shards} shard(s)]"
-            )
-            figures["fleet-sweep-vector"] = vector.wall_seconds
-            figures["fleet-sweep-scalar"] = scalar.wall_seconds
-            extra.update(
-                backend="compare",
-                speedup=round(speedup, 2),
-                completed=vector.completed,
-                scalar_completed=scalar.completed,
-                shards=vector.shards,
-                shard_seconds=[round(t.wall_seconds, 4) for t in vector.shard_timings],
-                scalar_shard_seconds=[
-                    round(t.wall_seconds, 4) for t in scalar.shard_timings
-                ],
-            )
-        else:
-            result = execute(backend)
-            print(result.render())
-            print(
-                f"{result.completed} invocations completed in "
-                f"{result.wall_seconds:.2f}s wall "
-                f"[{result.result.backend}, {result.shards} shard(s)]"
-            )
-            figures[f"fleet-sweep-{result.result.backend}"] = result.wall_seconds
-            extra.update(
-                backend=result.result.backend,
-                completed=result.completed,
-                shards=result.shards,
-                shard_seconds=[round(t.wall_seconds, 4) for t in result.shard_timings],
-            )
-    except BrokenProcessPool:  # killed or out of memory: close metrics, then fail
-        worker_died = True
-
-    if collector is not None:
-        collector.stop()
-        extra["metrics"] = collector.summary()
-        # Close the run's root span: fold in the overhead every worker
-        # self-reported, then append it directly to the JSONL (the
-        # collector is already stopped, so it cannot ride the queue).
-        tracer.add_overhead(collector.span_overhead_seconds)
-        tracer.finish(root_span, root=True, emit=False)
-        extra["obs_overhead_fraction"] = root_span.tags["obs_overhead_fraction"]
-        if args.metrics_out:
-            from repro.obs import JsonlWriter, wrap
-
-            with JsonlWriter(Path(args.metrics_out)) as span_writer:
-                span_writer.write(wrap("span", root_span.to_dict()))
-            print(f"[metrics written to {args.metrics_out}]")
-    if manager is not None:
-        manager.shutdown()
+    with telemetry:
+        try:
+            if has_faults:
+                # Faulted sweeps run twice on the same grid: once with the faults
+                # stripped (the pricing-accuracy baseline), once as declared.
+                baseline = execute(backend, compiled.without_faults().scenarios,
+                                   meter=True, label="base:")
+                faulted = execute(backend, meter=True, label="fault:")
+                report = DegradationReport.build(baseline.result, faulted.result)
+                print(faulted.render())
+                print(report.render())
+                print(
+                    f"{faulted.completed} invocations completed in "
+                    f"{faulted.wall_seconds:.2f}s wall (+{baseline.wall_seconds:.2f}s "
+                    f"baseline) [{faulted.result.backend}, {faulted.shards} shard(s)]"
+                )
+                figures[f"fleet-sweep-{faulted.result.backend}"] = faulted.wall_seconds
+                extra.update(
+                    backend=faulted.result.backend,
+                    completed=faulted.completed,
+                    baseline_completed=baseline.completed,
+                    shards=faulted.shards,
+                    shard_seconds=[round(t.wall_seconds, 4) for t in faulted.shard_timings],
+                    baseline_wall_seconds=round(baseline.wall_seconds, 4),
+                    fault_report=report.to_dict(),
+                )
+            elif args.compare:
+                vector = execute("vector")
+                scalar = execute("scalar")
+                speedup = scalar.wall_seconds / max(vector.wall_seconds, 1e-9)
+                print(vector.render())
+                print(scalar.render())
+                print(
+                    f"vector {vector.wall_seconds:.2f}s vs scalar fast-path "
+                    f"{scalar.wall_seconds:.2f}s -> {speedup:.1f}x speedup "
+                    f"[{vector.shards} shard(s)]"
+                )
+                figures["fleet-sweep-vector"] = vector.wall_seconds
+                figures["fleet-sweep-scalar"] = scalar.wall_seconds
+                extra.update(
+                    backend="compare",
+                    speedup=round(speedup, 2),
+                    completed=vector.completed,
+                    scalar_completed=scalar.completed,
+                    shards=vector.shards,
+                    shard_seconds=[round(t.wall_seconds, 4) for t in vector.shard_timings],
+                    scalar_shard_seconds=[
+                        round(t.wall_seconds, 4) for t in scalar.shard_timings
+                    ],
+                )
+            else:
+                result = execute(backend)
+                print(result.render())
+                print(
+                    f"{result.completed} invocations completed in "
+                    f"{result.wall_seconds:.2f}s wall "
+                    f"[{result.result.backend}, {result.shards} shard(s)]"
+                )
+                figures[f"fleet-sweep-{result.result.backend}"] = result.wall_seconds
+                extra.update(
+                    backend=result.result.backend,
+                    completed=result.completed,
+                    shards=result.shards,
+                    shard_seconds=[round(t.wall_seconds, 4) for t in result.shard_timings],
+                )
+        except BrokenProcessPool:  # killed or out of memory: close metrics, then fail
+            worker_died = True
+    extra.update(telemetry.extras)
+    if args.metrics_out:
+        print(f"[metrics written to {args.metrics_out}]")
     if worker_died:
         print("sweep failed: a shard worker process died (killed, or out of memory?)",
               file=sys.stderr)
         return 1
-
-    if not args.no_bench:
-        bench_path = (
-            Path(args.bench_json)
-            if args.bench_json
-            else benchlog.default_path(Path("results"))
-        )
-        written = benchlog.append_run(
-            figures, source="fleet-sweep", path=bench_path, extra=extra
-        )
-        print(f"[trajectory appended to {written}]")
+    _append_bench(args, figures, "fleet-sweep", extra)
     return 0
 
 
@@ -504,7 +475,7 @@ def _compare_stream_to_batch(stream_result, batch_result) -> list:
 def _command_stream(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro import benchlog, diskcache
+    from repro import diskcache
     from repro.scenarios import (
         SpecError,
         chunk_plan,
@@ -581,71 +552,45 @@ def _command_stream(args: argparse.Namespace) -> int:
         flush=True,
     )
 
-    collector = None
-    metrics_queue = None
-    tracer = None
-    root_span = None
-    if args.metrics or args.metrics_out is not None:
-        import queue as _queue
+    telemetry = RunTelemetry(
+        "stream",
+        tags={"phase": "stream", "spec": spec.name, "chunks": len(plan), "resumed": resumed},
+        out_path=args.metrics_out,
+        enabled=args.metrics or args.metrics_out is not None,
+        progress=True,
+    )
+    writer = None if args.records_out is None else JsonlWriter(args.records_out)
 
-        from repro.obs import MetricsCollector, MetricsEmitter, Tracer
-
-        metrics_queue = _queue.Queue()
-        collector = MetricsCollector(
-            metrics_queue,
-            stream=sys.stderr,
-            out_path=Path(args.metrics_out) if args.metrics_out else None,
-        ).start()
-        replay.set_progress(
-            MetricsEmitter(
-                metrics_queue,
-                label="stream",
-                series_budget=args.series_budget if args.series_budget else None,
-            )
-        )
-        tracer = Tracer(sink=metrics_queue.put)
-        root_span = tracer.start(
-            "stream",
-            tags={
-                "phase": "stream",
-                "spec": spec.name,
-                "chunks": len(plan),
-                "resumed": resumed,
-            },
-        )
-
-    writer = None
-    sink = None
-    if args.records_out is not None:
-        from repro.obs import JsonlWriter
-
-        writer = JsonlWriter(Path(args.records_out))
-
-        def sink(result) -> None:
-            for record in result.records:
-                writer.write(record.as_dict())
+    def sink(result) -> None:
+        for record in result.records:
+            writer.write(record.as_dict())
 
     start = _time.perf_counter()
     try:
-        summary = StreamPipeline(
-            replay,
-            plan,
-            publish=sink,
-            queue_depth=args.queue_depth,
-            checkpoint_to=ckpt_file,
-            checkpoint_every=args.checkpoint_every,
-            max_chunks=args.max_chunks,
-            finalize=args.max_chunks is None,
-            tracer=tracer,
-            trace_parent=None if root_span is None else root_span.context(),
-        ).run()
+        with telemetry:
+            if telemetry.queue is not None:
+                replay.set_progress(
+                    MetricsEmitter(
+                        telemetry.queue,
+                        label="stream",
+                        series_budget=args.series_budget or None,
+                    )
+                )
+            summary = StreamPipeline(
+                replay,
+                plan,
+                publish=None if writer is None else sink,
+                queue_depth=args.queue_depth,
+                checkpoint_to=ckpt_file,
+                checkpoint_every=args.checkpoint_every,
+                max_chunks=args.max_chunks,
+                finalize=args.max_chunks is None,
+                tracer=telemetry.tracer,
+                trace_parent=telemetry.context(),
+            ).run()
     finally:
         if writer is not None:
             writer.close()
-        if tracer is not None and root_span is not None:
-            tracer.finish(root_span, root=True)
-        if collector is not None:
-            collector.stop()
     wall = _time.perf_counter() - start
 
     result = replay.result()
@@ -671,7 +616,6 @@ def _command_stream(args: argparse.Namespace) -> int:
     if args.records_out is not None:
         print(f"[billing records appended to {args.records_out}]")
 
-    verified = None
     if args.verify:
         batch = compiled.sweep(meter=True).run("vector")
         mismatches = _compare_stream_to_batch(result, batch)
@@ -684,62 +628,36 @@ def _command_stream(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        verified = True
         print("verified: streamed ledgers and counters are bit-exact vs batch")
 
-    obs_overhead_fraction = None
-    if root_span is not None:
-        obs_overhead_fraction = root_span.tags.get("obs_overhead_fraction", 0.0)
-    if collector is not None:
-        if args.metrics_out:
-            print(f"[metrics written to {args.metrics_out}]")
+    if args.metrics_out:
+        print(f"[metrics written to {args.metrics_out}]")
 
-    if not args.no_bench:
-        billed = sum(
-            s.billing.billed_total for s in result.scenarios if s.billing is not None
-        )
-        true = sum(
-            s.billing.true_total for s in result.scenarios if s.billing is not None
-        )
-        extra = {
-            "spec": spec.name,
-            "fingerprint": fingerprint,
-            "chunk_epochs": args.chunk_epochs,
-            "chunks": summary.chunks,
-            "epochs": summary.epochs,
-            "records": summary.records,
-            "completed": summary.completions,
-            "finished": summary.finished,
-            "resumed": resumed,
-            "checkpoints_written": summary.checkpoints_written,
-            "billed_gb_seconds": round(billed, 6),
-            "true_gb_seconds": round(true, 6),
-        }
-        if verified is not None:
-            extra["verified_bit_exact"] = verified
-        if collector is not None:
-            extra["metrics"] = collector.summary()
-        if obs_overhead_fraction is not None:
-            extra["obs_overhead_fraction"] = obs_overhead_fraction
-        bench_path = (
-            Path(args.bench_json)
-            if args.bench_json
-            else benchlog.default_path(Path("results"))
-        )
-        written = benchlog.append_run(
-            {"stream-replay": wall},
-            source="stream-replay",
-            path=bench_path,
-            extra=extra,
-        )
-        print(f"[trajectory appended to {written}]")
+    billed = sum(s.billing.billed_total for s in result.scenarios if s.billing is not None)
+    true = sum(s.billing.true_total for s in result.scenarios if s.billing is not None)
+    extra = {
+        "spec": spec.name,
+        "fingerprint": fingerprint,
+        "chunk_epochs": args.chunk_epochs,
+        "chunks": summary.chunks,
+        "epochs": summary.epochs,
+        "records": summary.records,
+        "completed": summary.completions,
+        "finished": summary.finished,
+        "resumed": resumed,
+        "checkpoints_written": summary.checkpoints_written,
+        "billed_gb_seconds": round(billed, 6),
+        "true_gb_seconds": round(true, 6),
+        **({"verified_bit_exact": True} if args.verify else {}),
+        **telemetry.extras,
+    }
+    _append_bench(args, {"stream-replay": wall}, "stream-replay", extra)
     return 0
 
 
 def _command_calibrate(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro import benchlog
     from repro.calibrate import (
         CalibrationConfig,
         ContinuousCalibrator,
@@ -752,7 +670,6 @@ def _command_calibrate(args: argparse.Namespace) -> int:
         perturbed,
         profile_by_name,
     )
-    from repro.obs import JsonlWriter
 
     if args.once == args.watch:
         print("exactly one of --once / --watch is required", file=sys.stderr)
@@ -791,108 +708,80 @@ def _command_calibrate(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    from repro.obs import wrap
-
-    writer = JsonlWriter(Path(args.metrics_out)) if args.metrics_out else None
+    mode = "once" if args.once else "watch"
+    telemetry = RunTelemetry(
+        "calibrate",
+        tags={"phase": "calibrate", "profile": profile.name, "parameter": args.param, "mode": mode},
+        out_path=args.metrics_out,
+        enabled=args.metrics_out is not None,
+    )
     show_candidates = args.metrics or args.metrics_out is not None
 
     def observer(event) -> None:
-        if writer is not None:
-            writer.write(wrap("calibration", event.to_dict()))
+        if telemetry.queue is not None:
+            telemetry.queue.put(event)
         if event.kind != "candidate" or show_candidates:
             print(event.render_line(), flush=True)
 
-    tracer = None
-    root_span = None
-    if writer is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer(
-            sink=lambda span: writer.write(wrap("span", span.to_dict()))
-        )
-        root_span = tracer.start(
-            "calibrate",
-            tags={
-                "phase": "calibrate",
-                "profile": profile.name,
-                "parameter": args.param,
-                "mode": "once" if args.once else "watch",
-            },
-        )
-
-    republishes = []
     start = _time.perf_counter()
-    if args.once:
-        truth = perturbed(profile, args.param, args.perturb_scale)
-        print(
-            f"[calibrate] profile {profile.name}: truth fabricated with "
-            f"{args.param} x{args.perturb_scale:g} "
-            f"({nominal_value:g} -> {get_param(truth, args.param):g}); "
-            f"searching {config.linspace_points} candidates"
-        )
-        result = calibrate_once(
-            truth,
-            config,
-            incumbent=profile,
-            observer=observer,
-            tracer=tracer,
-            trace_parent=None if root_span is None else root_span.context(),
-        )
-        results = [result]
-        republishes.append(result)
-    else:
-        events = tuple(
-            DriftEvent(start_seconds=at, path=args.param, scale=scale)
-            for at, scale in zip(args.drift_at, args.drift_scale)
-        )
-        drift = DriftInjector(profile, events) if events else None
-        calibrator = ContinuousCalibrator(
-            profile,
-            config,
-            drift=drift,
-            observer=observer,
-            tracer=tracer,
-            trace_parent=None if root_span is None else root_span.context(),
-        )
-        results = calibrator.run(args.rounds)
-        republishes = [r for r in results if r.drift_detected and r.best is not None]
-    wall = _time.perf_counter() - start
-    obs_overhead_fraction = None
-    if writer is not None:
-        # Each round's measured window becomes per-epoch series points —
-        # the measured value IS the shared-stall fraction (see
-        # repro.calibrate.measure), so the mapping is exact.
-        from repro.obs import SeriesPoint
-
-        epoch = 0
-        for result in results:
-            for value in result.measured:
-                writer.write(
-                    wrap(
-                        "series",
-                        SeriesPoint(
-                            shard="calibrate",
-                            epoch=epoch,
-                            time_seconds=epoch * config.measure.epoch_seconds,
-                            completions=0,
-                            shared_stall_fraction=value,
-                            fault_injections=0,
-                            meter_dropped=0,
-                            billing_error_fraction=0.0,
-                        ).to_dict(),
+    with telemetry:
+        if args.once:
+            truth = perturbed(profile, args.param, args.perturb_scale)
+            print(
+                f"[calibrate] profile {profile.name}: truth fabricated with "
+                f"{args.param} x{args.perturb_scale:g} "
+                f"({nominal_value:g} -> {get_param(truth, args.param):g}); "
+                f"searching {config.linspace_points} candidates"
+            )
+            results = [
+                calibrate_once(
+                    truth,
+                    config,
+                    incumbent=profile,
+                    observer=observer,
+                    tracer=telemetry.tracer,
+                    trace_parent=telemetry.context(),
+                )
+            ]
+        else:
+            events = tuple(
+                DriftEvent(start_seconds=at, path=args.param, scale=scale)
+                for at, scale in zip(args.drift_at, args.drift_scale)
+            )
+            drift = DriftInjector(profile, events) if events else None
+            calibrator = ContinuousCalibrator(
+                profile,
+                config,
+                drift=drift,
+                observer=observer,
+                tracer=telemetry.tracer,
+                trace_parent=telemetry.context(),
+            )
+            results = calibrator.run(args.rounds)
+        wall = _time.perf_counter() - start
+        if telemetry.queue is not None:
+            # Each round's measured window becomes per-epoch series points —
+            # the measured value IS the shared-stall fraction (see
+            # repro.calibrate.measure), so the mapping is exact.
+            measured = (value for result in results for value in result.measured)
+            for epoch, value in enumerate(measured):
+                telemetry.queue.put(
+                    SeriesPoint(
+                        shard="calibrate",
+                        epoch=epoch,
+                        time_seconds=epoch * config.measure.epoch_seconds,
+                        completions=0,
+                        shared_stall_fraction=value,
+                        fault_injections=0,
+                        meter_dropped=0,
+                        billing_error_fraction=0.0,
                     )
                 )
-                epoch += 1
-        if tracer is not None and root_span is not None:
-            tracer.finish(root_span, root=True)
-            obs_overhead_fraction = root_span.tags.get(
-                "obs_overhead_fraction", 0.0
-            )
-        writer.close()
+    if args.metrics_out:
         print(f"[calibration events written to {args.metrics_out}]")
 
-    last = results[-1]
-    converged = last.converged
+    republishes = [r for r in results if r.drift_detected and r.best is not None]
+    converged = results[-1].converged
     grid = config.grid(profile)
     step = grid[1] - grid[0]
     for result in republishes:
@@ -907,29 +796,19 @@ def _command_calibrate(args: argparse.Namespace) -> int:
         + ("converged" if converged else "NOT converged")
     )
 
-    if not args.no_bench:
-        extra = {
-            "mode": "once" if args.once else "watch",
-            "profile": profile.name,
-            "parameter": args.param,
-            "rounds": len(results),
-            "republishes": len(republishes),
-            "converged": converged,
-        }
-        if republishes:
-            extra["fitted_value"] = republishes[-1].best.value
-            extra["fitted_mape"] = round(republishes[-1].best.mape, 8)
-        if obs_overhead_fraction is not None:
-            extra["obs_overhead_fraction"] = obs_overhead_fraction
-        bench_path = (
-            Path(args.bench_json)
-            if args.bench_json
-            else benchlog.default_path(Path("results"))
-        )
-        written = benchlog.append_run(
-            {"calibrate": wall}, source="calibrate", path=bench_path, extra=extra
-        )
-        print(f"[trajectory appended to {written}]")
+    extra = {
+        "mode": mode,
+        "profile": profile.name,
+        "parameter": args.param,
+        "rounds": len(results),
+        "republishes": len(republishes),
+        "converged": converged,
+        **telemetry.extras,
+    }
+    if republishes:
+        extra["fitted_value"] = republishes[-1].best.value
+        extra["fitted_mape"] = round(republishes[-1].best.mape, 8)
+    _append_bench(args, {"calibrate": wall}, "calibrate", extra)
     return 0 if converged else 1
 
 
@@ -1007,6 +886,48 @@ def _command_registry(_: argparse.Namespace) -> int:
     return 0
 
 
+_METRICS_OUT_HELP = (
+    "append every metrics record (snapshots, per-epoch series, trace spans) "
+    "to FILE as enveloped JSON lines, consumable by `python -m repro obs` "
+    "(implies --metrics)"
+)
+
+
+def _add_telemetry_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    record: str,
+    metrics_help: str,
+    metrics_out_help: str = _METRICS_OUT_HELP,
+    series_budget: bool = True,
+) -> None:
+    """Declare the BENCH and metrics flags every instrumented command shares."""
+    parser.add_argument(
+        "--bench-json",
+        default=None,
+        help="override the BENCH_engine.json trajectory path",
+    )
+    parser.add_argument(
+        "--no-bench",
+        action="store_true",
+        help=f"skip appending a {record} record to BENCH_engine.json",
+    )
+    parser.add_argument("--metrics", action="store_true", help=metrics_help)
+    parser.add_argument(
+        "--metrics-out", default=None, metavar="FILE", help=metrics_out_help
+    )
+    if series_budget:
+        parser.add_argument(
+            "--series-budget",
+            type=int,
+            default=512,
+            metavar="POINTS",
+            help="per-shard point budget for per-epoch series telemetry "
+            "(deterministic stride decimation keeps memory bounded; 0 disables; "
+            "default: 512)",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1073,8 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="sweep mode: append one JSON line per completed figure to FILE "
-        "(see docs/observability.md)",
+        help="sweep mode: append one trace span per completed figure to FILE, "
+        "closed by the run-figures root span (see docs/observability.md)",
     )
     run_parser.set_defaults(handler=_command_run)
 
@@ -1163,38 +1084,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run both backends and report the vector speedup",
     )
-    sweep_parser.add_argument(
-        "--bench-json",
-        default=None,
-        help="override the BENCH_engine.json trajectory path",
-    )
-    sweep_parser.add_argument(
-        "--no-bench",
-        action="store_true",
-        help="skip appending a fleet-sweep record to BENCH_engine.json",
-    )
-    sweep_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="stream live per-shard progress (epochs/sec, completions, fault "
+    _add_telemetry_flags(
+        sweep_parser,
+        record="fleet-sweep",
+        metrics_help="stream live per-shard progress (epochs/sec, completions, fault "
         "counters) to stderr while the sweep runs (see docs/observability.md)",
-    )
-    sweep_parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="append every metrics record (snapshots, per-epoch series, "
-        "trace spans) to FILE as enveloped JSON lines, consumable by "
-        "`python -m repro obs` (implies --metrics)",
-    )
-    sweep_parser.add_argument(
-        "--series-budget",
-        type=int,
-        default=512,
-        metavar="POINTS",
-        help="per-shard point budget for per-epoch series telemetry "
-        "(deterministic stride decimation keeps memory bounded; 0 disables; "
-        "default: 512)",
     )
     sweep_parser.set_defaults(handler=_command_sweep)
 
@@ -1266,36 +1160,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="after streaming, run the batch sweep and fail (exit 1) unless "
         "ledgers and counters are bit-exact",
     )
-    stream_parser.add_argument(
-        "--bench-json",
-        default=None,
-        help="override the BENCH_engine.json trajectory path",
-    )
-    stream_parser.add_argument(
-        "--no-bench",
-        action="store_true",
-        help="skip appending a stream-replay record to BENCH_engine.json",
-    )
-    stream_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="stream live replay progress to stderr (see docs/observability.md)",
-    )
-    stream_parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="append every metrics record (snapshots, per-epoch series, "
-        "trace spans) to FILE as enveloped JSON lines, consumable by "
-        "`python -m repro obs` (implies --metrics)",
-    )
-    stream_parser.add_argument(
-        "--series-budget",
-        type=int,
-        default=512,
-        metavar="POINTS",
-        help="point budget for per-epoch series telemetry (0 disables; "
-        "default: 512)",
+    _add_telemetry_flags(
+        stream_parser,
+        record="stream-replay",
+        metrics_help="stream live replay progress to stderr (see docs/observability.md)",
     )
     stream_parser.set_defaults(handler=_command_stream)
 
@@ -1411,27 +1279,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=2024,
         help="measurement churn seed (default: 2024)",
     )
-    calibrate_parser.add_argument(
-        "--bench-json",
-        default=None,
-        help="override the BENCH_engine.json trajectory path",
-    )
-    calibrate_parser.add_argument(
-        "--no-bench",
-        action="store_true",
-        help="skip appending a calibrate record to BENCH_engine.json",
-    )
-    calibrate_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print per-candidate search progress (see docs/observability.md)",
-    )
-    calibrate_parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="append every calibration event to FILE as JSON lines "
-        "(implies --metrics)",
+    _add_telemetry_flags(
+        calibrate_parser,
+        record="calibrate",
+        metrics_help="print per-candidate search progress (see docs/observability.md)",
+        metrics_out_help="append every calibration event, trace span and measured "
+        "per-epoch series point to FILE as enveloped JSON lines, consumable by "
+        "`python -m repro obs` (implies --metrics)",
+        series_budget=False,
     )
     calibrate_parser.set_defaults(handler=_command_calibrate)
 

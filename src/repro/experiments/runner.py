@@ -23,11 +23,12 @@ from __future__ import annotations
 import difflib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import benchlog, diskcache
+from repro.obs import RunTelemetry
 
 #: Figure/table name -> experiments module implementing ``run()`` (an
 #: optional ``:attribute`` suffix selects a different entry point).
@@ -121,15 +122,11 @@ class SweepReport:
     runs: List[FigureRun]
     jobs: int
     wall_seconds: float
-    bench_path: Optional[Path]
+    bench_path: Path
 
     @property
     def mismatches(self) -> List[FigureRun]:
         return [run for run in self.runs if run.matched is False]
-
-    @property
-    def figure_seconds(self) -> Dict[str, float]:
-        return {run.name: run.seconds for run in self.runs}
 
 
 def _execute_job(name: str, profile: bool = False) -> FigureRun:
@@ -166,6 +163,27 @@ def _dispatch_order(names: Sequence[str]) -> List[str]:
     return sorted(names, key=lambda name: -_EXPECTED_COST.get(name, 1.0))
 
 
+def _settle(run: FigureRun, results_dir: Path, check: bool) -> FigureRun:
+    """Write ``run`` to ``results_dir`` or, with ``check``, diff it there."""
+    output_path = results_dir / f"{run.name}.txt"
+    if not check:
+        results_dir.mkdir(parents=True, exist_ok=True)
+        output_path.write_text(run.rendered, encoding="utf-8")
+        return run
+    committed = output_path.read_text(encoding="utf-8") if output_path.exists() else None
+    if committed == run.rendered:
+        return replace(run, matched=True)
+    diff = "".join(
+        difflib.unified_diff(
+            (committed or "").splitlines(keepends=True),
+            run.rendered.splitlines(keepends=True),
+            fromfile=f"committed/{output_path.name}",
+            tofile=f"regenerated/{output_path.name}",
+        )
+    )
+    return replace(run, matched=False, diff=diff)
+
+
 def run_figures(
     names: Sequence[str],
     *,
@@ -173,7 +191,6 @@ def run_figures(
     results_dir: Path = Path("results"),
     check: bool = False,
     bench_path: Optional[Path] = None,
-    record_bench: bool = True,
     progress: Optional[Callable[[FigureRun], None]] = None,
     profile: bool = False,
     metrics_path: Optional[Path] = None,
@@ -196,38 +213,6 @@ def run_figures(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ordered = _dispatch_order(names)
-    metrics_writer = None
-    tracer = None
-    root_span = None
-    if metrics_path is not None:
-        from repro.obs import JsonlWriter, Tracer, wrap
-
-        metrics_writer = JsonlWriter(metrics_path)
-        writer = metrics_writer
-        tracer = Tracer(
-            sink=lambda span: writer.write(wrap("span", span.to_dict()))
-        )
-        root_span = tracer.start(
-            "run-figures",
-            tags={"phase": "run", "figures": len(ordered), "jobs": jobs},
-        )
-
-    def record_figure(run: FigureRun, completed: int) -> None:
-        # Figure spans are synthesized post-hoc in the parent from the
-        # worker-reported wall start + duration, so workers stay free of
-        # tracer state (and picklable).
-        if tracer is not None:
-            tracer.record(
-                run.name,
-                start_unix_seconds=run.started_unix,
-                duration_seconds=run.seconds,
-                parent=root_span,
-                tags={
-                    "phase": "figure",
-                    "completed": completed,
-                    "total": len(ordered),
-                },
-            )
     # Recorded so trajectory readers can tell a cold sweep from a warm one:
     # per-figure seconds mostly reflect which job paid for a shared cached
     # artefact first, so only same-temperature records compare meaningfully.
@@ -237,98 +222,71 @@ def run_figures(
             cache_entries_start = sum(1 for _ in diskcache.cache_dir().glob("*.json"))
         except OSError:
             cache_entries_start = 0
-    sweep_start = time.perf_counter()
-
+    telemetry = RunTelemetry(
+        "run-figures",
+        tags={"phase": "run", "figures": len(ordered), "jobs": jobs},
+        out_path=metrics_path,
+        enabled=metrics_path is not None,
+    )
     runs: List[FigureRun] = []
     calibrations_warmed = 0
-    if jobs == 1 or len(ordered) <= 1:
-        for name in ordered:
-            run = _execute_job(name, profile)
-            runs.append(run)
-            record_figure(run, len(runs))
-            if progress is not None:
-                progress(run)
-    else:
-        # Warm every distinct calibration in the parent before fanning out:
-        # parallel workers all start cold at the same instant, so without
-        # this each would redo the same expensive calibration sweeps (the
-        # jobs=2 regression — see warm_shared_calibrations).
-        from repro.experiments.harness import warm_shared_calibrations
 
-        calibrations_warmed = warm_shared_calibrations(ordered)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {pool.submit(_execute_job, name, profile) for name in ordered}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    run = future.result()
-                    runs.append(run)
-                    record_figure(run, len(runs))
-                    if progress is not None:
-                        progress(run)
-    runs.sort(key=lambda run: ordered.index(run.name))
+    def finished(run: FigureRun) -> None:
+        runs.append(run)
+        # Figure spans are synthesized post-hoc in the parent from the
+        # worker-reported wall start + duration, so workers stay free of
+        # tracer state (and picklable).
+        if telemetry.tracer is not None:
+            telemetry.tracer.record(
+                run.name,
+                start_unix_seconds=run.started_unix,
+                duration_seconds=run.seconds,
+                parent=telemetry.root,
+                tags={"phase": "figure", "completed": len(runs), "total": len(ordered)},
+            )
+        if progress is not None:
+            progress(run)
 
-    checked: List[FigureRun] = []
-    for run in runs:
-        output_path = results_dir / f"{run.name}.txt"
-        if check:
-            committed = (
-                output_path.read_text(encoding="utf-8")
-                if output_path.exists()
-                else None
-            )
-            matched = committed == run.rendered
-            diff = None
-            if not matched:
-                diff = "".join(
-                    difflib.unified_diff(
-                        (committed or "").splitlines(keepends=True),
-                        run.rendered.splitlines(keepends=True),
-                        fromfile=f"committed/{output_path.name}",
-                        tofile=f"regenerated/{output_path.name}",
-                    )
-                )
-            checked.append(
-                FigureRun(
-                    run.name, run.rendered, run.seconds, matched, diff, run.profile_text
-                )
-            )
+    with telemetry:
+        sweep_start = time.perf_counter()
+        if jobs == 1 or len(ordered) <= 1:
+            for name in ordered:
+                finished(_execute_job(name, profile))
         else:
-            results_dir.mkdir(parents=True, exist_ok=True)
-            output_path.write_text(run.rendered, encoding="utf-8")
-            checked.append(run)
+            # Warm every distinct calibration in the parent before fanning
+            # out: parallel workers all start cold at the same instant, so
+            # without this each would redo the same expensive calibration
+            # sweeps (the jobs=2 regression — see warm_shared_calibrations).
+            from repro.experiments.harness import warm_shared_calibrations
 
-    wall = time.perf_counter() - sweep_start
-    obs_extra: Dict[str, float] = {}
-    if tracer is not None and root_span is not None:
-        root_span.tags["figures"] = len(runs)
-        tracer.finish(root_span, root=True)
-        obs_extra["obs_overhead_fraction"] = float(
-            root_span.tags.get("obs_overhead_fraction", 0.0)
-        )
-        metrics_writer.close()
-    written_bench: Optional[Path] = None
-    if record_bench:
-        written_bench = benchlog.append_run(
-            {run.name: run.seconds for run in checked},
-            source="runner-check" if check else "runner",
-            path=bench_path or benchlog.default_path(results_dir),
-            jobs=jobs,
-            extra={
-                "wall_seconds": round(wall, 4),
-                "disk_cache_enabled": diskcache.cache_enabled(),
-                "disk_cache_entries_at_start": cache_entries_start,
-                # Distinct calibrations pre-computed in the parent before
-                # the parallel fan-out (0 for sequential runs).
-                **(
-                    {"calibrations_warmed": calibrations_warmed}
-                    if calibrations_warmed
-                    else {}
-                ),
-                # cProfile inflates per-figure seconds severalfold; the
-                # marker keeps profiled entries from reading as regressions.
-                **({"profiled": True} if profile else {}),
-                **obs_extra,
-            },
-        )
+            calibrations_warmed = warm_shared_calibrations(ordered)
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                pending = {pool.submit(_execute_job, name, profile) for name in ordered}
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        finished(future.result())
+        runs.sort(key=lambda run: ordered.index(run.name))
+        checked = [_settle(run, results_dir, check) for run in runs]
+        wall = time.perf_counter() - sweep_start
+        if telemetry.root is not None:
+            telemetry.root.tags["figures"] = len(runs)
+    written_bench = benchlog.append_run(
+        {run.name: run.seconds for run in checked},
+        source="runner-check" if check else "runner",
+        path=bench_path or benchlog.default_path(results_dir),
+        jobs=jobs,
+        extra={
+            "wall_seconds": round(wall, 4),
+            "disk_cache_enabled": diskcache.cache_enabled(),
+            "disk_cache_entries_at_start": cache_entries_start,
+            # Distinct calibrations pre-computed in the parent before
+            # the parallel fan-out (0 for sequential runs).
+            **({"calibrations_warmed": calibrations_warmed} if calibrations_warmed else {}),
+            # cProfile inflates per-figure seconds severalfold; the
+            # marker keeps profiled entries from reading as regressions.
+            **({"profiled": True} if profile else {}),
+            **telemetry.extras,
+        },
+    )
     return SweepReport(runs=checked, jobs=jobs, wall_seconds=wall, bench_path=written_bench)

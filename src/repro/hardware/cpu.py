@@ -121,9 +121,6 @@ class CPU:
     def current_frequency_ghz(self) -> float:
         return self._governor.frequency_ghz(self.active_thread_count)
 
-    def current_frequency_hz(self) -> float:
-        return self._governor.frequency_hz(self.active_thread_count)
-
     def smt_private_penalty(self, thread_id: int) -> float:
         """Private-resource inflation caused by an active SMT sibling.
 

@@ -91,10 +91,6 @@ class MachineSpec:
         return self.cores * self.smt_ways
 
     @property
-    def base_frequency_hz(self) -> float:
-        return self.base_frequency_ghz * 1e9
-
-    @property
     def memory_latency_cycles(self) -> float:
         """Unloaded DRAM latency expressed in cycles at the base frequency."""
         return self.memory_latency_ns * self.base_frequency_ghz

@@ -2,7 +2,8 @@
 
 The package splits along the run lifecycle:
 
-* :mod:`repro.obs.metrics` — live side: snapshot/emitter/collector.
+* :mod:`repro.obs.metrics` — live side: snapshot/emitter/collector, and
+  ``RunTelemetry``, the one lifecycle every instrumented command uses.
 * :mod:`repro.obs.trace` — span tracing (``Tracer``/``TraceSpan``).
 * :mod:`repro.obs.series` — bounded per-epoch time series.
 * :mod:`repro.obs.envelope` — the versioned JSONL record envelope.
@@ -24,6 +25,7 @@ from repro.obs.metrics import (
     MetricsCollector,
     MetricsEmitter,
     ProgressSnapshot,
+    RunTelemetry,
 )
 from repro.obs.series import SeriesBatch, SeriesBuffer, SeriesPoint
 from repro.obs.trace import SpanContext, Tracer, TraceSpan
@@ -36,6 +38,7 @@ __all__ = [
     "MetricsCollector",
     "MetricsEmitter",
     "ProgressSnapshot",
+    "RunTelemetry",
     "SeriesBatch",
     "SeriesBuffer",
     "SeriesPoint",

@@ -1,7 +1,7 @@
-"""Live sweep observability: snapshots, emitters, and the collector.
+"""Live run observability: snapshots, emitters, the collector, the lifecycle.
 
 Long sharded sweeps used to run silently until the merge.  This module is
-the thin metrics layer between the sweep engines and the CLI:
+the thin metrics layer between the engines and the CLI:
 
 * :class:`ProgressSnapshot` — one frozen reading of a shard's progress
   (epochs, completions, fault counters, billing error so far).
@@ -12,9 +12,13 @@ the thin metrics layer between the sweep engines and the CLI:
   (``done=True``) snapshots always pass the throttle.
 * :class:`MetricsCollector` — the *parent* side.  A daemon thread drains
   the queue, optionally renders one status line per snapshot batch to a
-  stream, optionally appends every snapshot to a JSONL file
-  (``--metrics-out``), and aggregates a summary dict that the CLI records
+  stream, appends every record to the ``--metrics-out`` JSONL (it is that
+  file's only writer), and aggregates a summary dict that the CLI records
   into ``BENCH_engine.json`` run extras.
+* :class:`RunTelemetry` — one run's whole lifecycle: it opens the queue,
+  the collector, a tracer and the root span, and closes them in one
+  order on every exit.  ``sweep``, ``stream``, ``calibrate`` and
+  ``run --figures`` all go through it.
 
 Observability is strictly read-only: emitters see counters the engines
 already maintain, so ``--metrics`` can never change a sweep's results.
@@ -25,15 +29,16 @@ from __future__ import annotations
 
 import json
 import queue as queue_module
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Any, Dict, Mapping, Optional
+from typing import IO, Any, Dict, Mapping, Optional, Union
 
 from repro.obs.envelope import wrap
 from repro.obs.series import SeriesBatch, SeriesBuffer, SeriesPoint
-from repro.obs.trace import TraceSpan
+from repro.obs.trace import SpanContext, Tracer, TraceSpan
 
 #: Payload keys a sweep backend must provide to its progress callback.
 PAYLOAD_KEYS = (
@@ -233,8 +238,8 @@ class MetricsEmitter:
 class MetricsCollector:
     """Parent-side queue drainer: renders, records, and summarizes.
 
-    Start before launching the sweep, stop after it returns; records
-    still in flight at :meth:`stop` are drained before the file closes.
+    Start before launching the run, stop after it returns; records still
+    in flight at :meth:`stop` are drained before the file closes.
     Beyond snapshots, the queue may carry
     :class:`~repro.obs.trace.TraceSpan`\\ s,
     :class:`~repro.obs.series.SeriesBatch`\\ es / points, and
@@ -248,12 +253,12 @@ class MetricsCollector:
         queue: Any,
         *,
         stream: Optional[IO[str]] = None,
-        out_path: Optional[Path] = None,
+        out_path: Union[str, Path, None] = None,
         min_render_interval_seconds: float = 0.5,
     ) -> None:
         self._queue = queue
         self._stream = stream
-        self._out_path = None if out_path is None else Path(out_path)
+        self._writer = None if out_path is None else JsonlWriter(out_path)
         self._render_interval = min_render_interval_seconds
         self._last_render = float("-inf")
         self._latest: Dict[str, ProgressSnapshot] = {}
@@ -262,7 +267,6 @@ class MetricsCollector:
         self._spans_seen = 0
         self._series_points_seen = 0
         self._span_overhead = 0.0
-        self._out_file: Optional[IO[str]] = None
         self._stopping = threading.Event()
         self._thread: Optional[threading.Thread] = None
         #: Serializes file writes against close; once ``_out_closed`` is
@@ -271,10 +275,8 @@ class MetricsCollector:
         self._out_closed = False
 
     def start(self) -> "MetricsCollector":
-        if self._out_path is not None:
-            self._out_path.parent.mkdir(parents=True, exist_ok=True)
-            self._out_file = self._out_path.open("a", encoding="utf-8")
-            self._out_closed = False
+        if self._writer is not None:
+            self._writer.open()
         self._thread = threading.Thread(
             target=self._drain, name="metrics-collector", daemon=True
         )
@@ -282,14 +284,19 @@ class MetricsCollector:
         return self
 
     def stop(self) -> None:
-        """Drain to empty, then close the output; never write afterwards.
+        """Drain to empty, then close the output; never write afterwards."""
+        self.drain()
+        self.close()
 
-        The drain thread keeps consuming until the queue is empty *and*
-        the stop flag is set.  If it fails to finish within the join
-        timeout (a wedged manager queue), the output file is still closed
-        safely: ``_write_record`` and the close both hold ``_io_lock``
-        and writes check ``_out_closed`` first, so a straggling record is
-        dropped instead of racing a closed file (the old ValueError).
+    def drain(self) -> None:
+        """Stop the drain thread and file every record still queued.
+
+        The thread keeps consuming until the queue is empty *and* the
+        stop flag is set.  If it fails to finish within the join timeout
+        (a wedged manager queue), :meth:`close` still closes the file
+        safely: ``_write_record`` and the close both hold ``_io_lock`` and
+        writes check ``_out_closed`` first, so a straggling record is
+        dropped instead of racing a closed file.
         """
         self._stopping.set()
         thread = self._thread
@@ -300,29 +307,24 @@ class MetricsCollector:
             # Thread exited (or never ran): anything still queued — e.g.
             # put between the thread's last Empty and our join — is ours
             # to drain inline before the file closes.
-            self._drain_remaining()
+            self._drain(wait=False)
+
+    def close(self, final: Any = None) -> None:
+        """File ``final`` (if given) as the last record, then close the file."""
+        if final is not None:
+            self._handle(final)
         with self._io_lock:
             self._out_closed = True
-            if self._out_file is not None:
-                self._out_file.close()
-                self._out_file = None
+            if self._writer is not None:
+                self._writer.close()
 
-    def _drain_remaining(self) -> None:
+    def _drain(self, wait: bool = True) -> None:
+        """File queued records; with ``wait``, until stopped and empty."""
         while True:
             try:
-                record = self._queue.get_nowait()
+                record = self._queue.get(timeout=0.1) if wait else self._queue.get_nowait()
             except queue_module.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - manager gone
-                return
-            self._handle(record)
-
-    def _drain(self) -> None:
-        while True:
-            try:
-                record = self._queue.get(timeout=0.1)
-            except queue_module.Empty:
-                if self._stopping.is_set():
+                if not wait or self._stopping.is_set():
                     return
                 continue
             except (EOFError, OSError):  # pragma: no cover - manager gone
@@ -331,12 +333,8 @@ class MetricsCollector:
 
     def _write_record(self, kind: str, payload: Mapping[str, Any]) -> None:
         with self._io_lock:
-            if self._out_file is None or self._out_closed:
-                return
-            self._out_file.write(
-                json.dumps(wrap(kind, payload), sort_keys=True) + "\n"
-            )
-            self._out_file.flush()
+            if self._writer is not None and not self._out_closed:
+                self._writer.write(wrap(kind, payload))
 
     def _handle(self, record: Any) -> None:
         if isinstance(record, ProgressSnapshot):
@@ -435,16 +433,24 @@ class MetricsCollector:
 
 
 class JsonlWriter:
-    """Append-only JSONL event stream (used by ``run --metrics-out``)."""
+    """Append-only JSONL stream, opened on the first write.
 
-    def __init__(self, path: Path) -> None:
+    The collector writes ``--metrics-out`` through it; ``stream
+    --records-out`` writes billing records through it directly.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         self._file: Optional[IO[str]] = None
 
-    def write(self, record: Mapping[str, Any]) -> None:
+    def open(self) -> None:
+        """Create the file now (idempotent), so a bad path fails early."""
         if self._file is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self._path.open("a", encoding="utf-8")
+
+    def write(self, record: Mapping[str, Any]) -> None:
+        self.open()
         self._file.write(json.dumps(dict(record), sort_keys=True) + "\n")
         self._file.flush()
 
@@ -458,3 +464,93 @@ class JsonlWriter:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+class RunTelemetry:
+    """One run's telemetry lifecycle: queue, collector, tracer, root span.
+
+    ``with RunTelemetry("sweep", tags=..., out_path=...) as telemetry:``
+    starts a :class:`MetricsCollector` on a fresh queue, a
+    :class:`~repro.obs.trace.Tracer` whose sink is that queue, and the
+    run's root span.  The work gets :attr:`queue`, :attr:`tracer` and
+    :meth:`context`; whatever it puts on the queue reaches stderr and
+    ``out_path`` through the collector.
+
+    Leaving the block — by return or by any exception — closes in one
+    order: drain the collector, fold in the overhead the worker spans
+    reported, finish the root, file it as the file's last record and
+    close the file, then shut the manager down.  :attr:`extras` then
+    holds the run's ``BENCH_engine.json`` extras: ``obs_overhead_fraction``,
+    plus the collector's ``metrics`` summary when ``progress`` is set
+    (the run streams progress snapshots, rendered to stderr).
+
+    ``processes`` backs the queue with a ``multiprocessing.Manager`` so
+    workers in other processes can put on it.  A disabled telemetry
+    hands out ``None`` for the queue, the tracer and the context and
+    records nothing, so callers keep one code path.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        tags: Mapping[str, Any],
+        out_path: Union[str, Path, None] = None,
+        enabled: bool = True,
+        progress: bool = False,
+        processes: bool = False,
+    ) -> None:
+        self._name = name
+        self._tags = dict(tags)
+        self._out_path = out_path
+        self._enabled = enabled
+        self._progress = progress
+        self._processes = processes
+        self._manager: Any = None
+        self._collector: Optional[MetricsCollector] = None
+        self.queue: Any = None
+        self.tracer: Optional[Tracer] = None
+        self.root: Optional[TraceSpan] = None
+        self.extras: Dict[str, Any] = {}
+
+    def context(self) -> Optional[SpanContext]:
+        """The root's handle for children, ``None`` when disabled."""
+        return None if self.root is None else self.root.context()
+
+    def __enter__(self) -> "RunTelemetry":
+        if not self._enabled:
+            return self
+        if self._processes:
+            import multiprocessing
+
+            self._manager = multiprocessing.Manager()
+        try:
+            self.queue = queue_module.Queue() if self._manager is None else self._manager.Queue()
+            self._collector = MetricsCollector(
+                self.queue,
+                stream=sys.stderr if self._progress else None,
+                out_path=self._out_path,
+            ).start()
+        except BaseException:  # e.g. an unwritable --metrics-out: no stray manager
+            if self._manager is not None:
+                self._manager.shutdown()
+            raise
+        self.tracer = Tracer(sink=self.queue.put)
+        self.root = self.tracer.start(self._name, tags=self._tags)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        collector = self._collector
+        if collector is None:
+            return
+        try:
+            collector.drain()
+            self.tracer.add_overhead(collector.span_overhead_seconds)
+            self.tracer.finish(self.root, root=True, emit=False)
+            collector.close(final=self.root)
+            if self._progress:
+                self.extras["metrics"] = collector.summary()
+            self.extras["obs_overhead_fraction"] = self.root.tags["obs_overhead_fraction"]
+        finally:
+            if self._manager is not None:
+                self._manager.shutdown()

@@ -366,16 +366,6 @@ class VectorEngine:
         return self._cpu_facade
 
     @property
-    def invocation_count(self) -> int:
-        """High-water mark of concurrently tracked invocations.
-
-        Total submissions live in ``stats.submissions``; in
-        non-materialized mode finished columns are recycled, so this stays
-        bounded by the peak active fleet.
-        """
-        return self._count
-
-    @property
     def active_count(self) -> int:
         """Invocations currently running anywhere in the fleet."""
         return int(np.count_nonzero(self.active[: self._count]))

@@ -345,11 +345,6 @@ class SimulationEngine:
     def add_finish_listener(self, listener: FinishListener) -> None:
         self._finish_listeners.append(listener)
 
-    @property
-    def frequency_scale(self) -> float:
-        """Current fault-injection frequency multiplier (1.0 = healthy)."""
-        return self._frequency_scale
-
     def set_frequency_scale(self, scale: float) -> None:
         """Throttle (or restore) the machine's clock from now on.
 

@@ -101,10 +101,6 @@ class FaultSpec:
     def is_engine_fault(self) -> bool:
         return self.type in ENGINE_FAULT_TYPES
 
-    @property
-    def is_meter_fault(self) -> bool:
-        return self.type in METER_FAULT_TYPES
-
     def window(self, horizon_seconds: float) -> Optional[Tuple[float, float]]:
         """The fault's active ``(start, end)`` clipped to the horizon.
 

@@ -414,17 +414,12 @@ class CompiledSweep:
         shards: Optional[int] = None,
         max_workers: Optional[int] = None,
         meter: bool = False,
-        metrics_queue: Optional[object] = None,
-        metrics_interval: float = 0.5,
-        metrics_label: str = "",
     ) -> ShardedSweepResult:
         """Execute the compiled grid, partitioned over ``shards`` workers.
 
         ``backend``/``shards`` default to the spec's ``[sweep]`` values.
         Results are independent of the shard count (see
-        :func:`repro.platform.batch.run_sharded`).  ``metrics_queue`` (a
-        multiprocessing queue) turns on live progress snapshots — see
-        :mod:`repro.obs` and docs/observability.md.
+        :func:`repro.platform.batch.run_sharded`).
         """
         return run_sharded(
             self.scenarios,
@@ -437,9 +432,6 @@ class CompiledSweep:
             registry=self.registry,
             max_workers=max_workers,
             meter=meter,
-            metrics_queue=metrics_queue,
-            metrics_interval=metrics_interval,
-            metrics_label=metrics_label,
         )
 
 

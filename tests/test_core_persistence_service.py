@@ -147,6 +147,8 @@ class TestCli:
         assert expected <= set(cli.FIGURE_MODULES)
 
     def test_all_registered_runners_resolve(self):
+        from repro.experiments.runner import resolve_runner
+
         for name in cli.FIGURE_MODULES:
-            runner = cli._resolve_runner(name)
+            runner = resolve_runner(name)
             assert callable(runner)
