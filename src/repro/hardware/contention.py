@@ -263,7 +263,12 @@ class ContentionModel:
             )
         return penalties
 
-    def evaluate_tuples(self, entries: Sequence[tuple]) -> ContentionResult:
+    def evaluate_tuples(
+        self,
+        entries: Sequence[tuple],
+        classes: Sequence[int] | None = None,
+        workload_ids: Sequence[int] | None = None,
+    ) -> ContentionResult:
         """Exact, allocation-light replica of :meth:`evaluate`.
 
         ``entries`` is a sequence of ``(workload_id, l2_miss_rate,
@@ -279,6 +284,15 @@ class ContentionModel:
         Behavioural changes must be made to :meth:`evaluate` (the reference
         implementation) and mirrored here.  ``min``/``max`` are written as
         the comparisons that return exactly what the builtins return.
+
+        Workloads with equal demands can share one entry.  ``classes`` then
+        gives, in workload order, the position of each workload's entry and
+        ``workload_ids`` the workloads' ids, and the result is what
+        :meth:`evaluate` returns for the expanded demands in that order.
+        The water-fill gives equal demands equal shares, caps and hit
+        fractions, so those are computed once per entry; every sum still
+        adds one term per workload, in workload order.  Without ``classes``
+        each entry is one workload.
         """
         capacity_mb = self._cache.capacity_mb
         utility_exponent = self._cache.utility_exponent
@@ -286,11 +300,14 @@ class ContentionModel:
         hits = [entry[3] for entry in entries]  # inactive workloads keep solo
 
         # --- SharedCacheModel.allocate, fused -------------------------- #
-        # _water_fill on the active workloads, by position.  Shares are
-        # computed once per pass (the reference implementation recomputes
-        # the identical expression in its second loop, so reusing the value
-        # is exact), and each workload's capped need — ``min(working_set,
-        # capacity)`` of the same two floats everywhere — once up front.
+        # _water_fill on the active workloads, by entry position.  Shares
+        # are computed once per pass (the reference implementation
+        # recomputes the identical expression in its second loop, so
+        # reusing the value is exact), and each workload's capped need —
+        # ``min(working_set, capacity)`` of the same two floats everywhere
+        # — once up front.  ``pending`` holds the active entries still
+        # being filled and ``remaining`` their workloads in workload order:
+        # the same list unless entries are shared.
         active = [
             position
             for position, entry in enumerate(entries)
@@ -300,7 +317,10 @@ class ContentionModel:
             capacity_mb if capacity_mb < entry[2] else entry[2] for entry in entries
         ]
         allocations = [0.0] * len(entries)
-        remaining = active
+        pending = remaining = active
+        if classes is not None:
+            active_entries = set(active)
+            remaining = [position for position in classes if position in active_entries]
         remaining_capacity = capacity_mb
         for _ in range(len(active) + 1):
             if not remaining or remaining_capacity <= 1e-12:
@@ -310,26 +330,41 @@ class ContentionModel:
                 break
             shares = [
                 remaining_capacity * rates[position] / total_rate
-                for position in remaining
+                for position in pending
             ]
             uncapped: list[int] = []
             capped: list[int] = []
-            for position, share in zip(remaining, shares):
+            for position, share in zip(pending, shares):
                 if share >= needs[position] - allocations[position]:
                     capped.append(position)
                 else:
                     uncapped.append(position)
             if not capped:
-                for position, share in zip(remaining, shares):
+                for position, share in zip(pending, shares):
                     allocations[position] += share
                 remaining_capacity = 0.0
                 break
-            for position in capped:
-                need = needs[position]
-                grant = need - allocations[position]
-                allocations[position] = need
-                remaining_capacity -= grant
-            remaining = uncapped
+            if classes is None:
+                for position in capped:
+                    need = needs[position]
+                    grant = need - allocations[position]
+                    allocations[position] = need
+                    remaining_capacity -= grant
+                remaining = uncapped
+            else:
+                # Every workload of a capped entry is granted the same,
+                # subtracted once per workload in workload order.
+                grants = {
+                    position: needs[position] - allocations[position]
+                    for position in capped
+                }
+                for position in remaining:
+                    if position in grants:
+                        remaining_capacity -= grants[position]
+                for position in capped:
+                    allocations[position] = needs[position]
+                remaining = [position for position in remaining if position not in grants]
+            pending = uncapped
 
         for position in active:
             need_mb = needs[position]
@@ -343,28 +378,36 @@ class ContentionModel:
             hits[position] = hits[position] * coverage**utility_exponent
 
         # --- aggregate loads ------------------------------------------- #
-        total_l3_lookups = sum(rates)
         line_size = self._machine.line_size_bytes
         total_dram_bytes = 0.0
-        for rate, hit_fraction in zip(rates, hits):
-            total_dram_bytes += rate * (1.0 - hit_fraction) * line_size
-
-        ring_load = RingLoad(accesses_per_second=total_l3_lookups)
-        memory_load = MemoryLoad(bytes_per_second=total_dram_bytes)
+        if classes is None:
+            total_l3_lookups = sum(rates)
+            for rate, hit_fraction in zip(rates, hits):
+                total_dram_bytes += rate * (1.0 - hit_fraction) * line_size
+            hit_fractions = dict(zip([entry[0] for entry in entries], hits))
+        else:
+            total_l3_lookups = sum([rates[position] for position in classes])
+            dram_bytes = [
+                rate * (1.0 - hit_fraction) * line_size
+                for rate, hit_fraction in zip(rates, hits)
+            ]
+            for position in classes:
+                total_dram_bytes += dram_bytes[position]
+            hit_fractions = dict(zip(workload_ids, [hits[position] for position in classes]))
 
         ring = self._ring
         memory = self._memory
-        ring_utilization = ring.utilization(ring_load)
-        bandwidth_utilization = memory.utilization(memory_load)
+        ring_utilization = ring.utilization_at(total_l3_lookups)
+        bandwidth_utilization = memory.utilization_at(total_dram_bytes)
         pressure = (
             bandwidth_utilization
             if bandwidth_utilization > ring_utilization
             else ring_utilization
         )
         return ContentionResult(
-            dict(zip([entry[0] for entry in entries], hits)),
-            ring.effective_latency_cycles(ring_load),
-            memory.effective_latency_cycles(memory_load),
+            hit_fractions,
+            ring.latency_at(ring_utilization),
+            memory.latency_at(bandwidth_utilization),
             ring_utilization,
             bandwidth_utilization,
             1.0 + self._parameters.private_pressure_sensitivity * pressure,

@@ -59,17 +59,23 @@ class MemoryBandwidthModel:
     def unloaded_latency_cycles(self) -> float:
         return self._unloaded_latency_cycles
 
+    def utilization_at(self, bytes_per_second: float) -> float:
+        """Fraction of peak bandwidth consumed, clamped to the model maximum."""
+        raw = bytes_per_second / self._peak_bytes_per_second
+        # min(max(raw, 0.0), max_utilization), as the builtins resolve it.
+        if 0.0 > raw:
+            raw = 0.0
+        return self._max_utilization if self._max_utilization < raw else raw
+
+    def latency_at(self, utilization: float) -> float:
+        """Loaded DRAM latency in cycles at a :meth:`utilization_at` value."""
+        inflation = 1.0 + self._queueing_coefficient * utilization / (1.0 - utilization)
+        return self._unloaded_latency_cycles * inflation
+
     def utilization(self, load: MemoryLoad) -> float:
         """Fraction of peak bandwidth consumed, clamped to the model maximum."""
-        raw = load.bytes_per_second / self._peak_bytes_per_second
-        return min(max(raw, 0.0), self._max_utilization)
+        return self.utilization_at(load.bytes_per_second)
 
     def effective_latency_cycles(self, load: MemoryLoad) -> float:
         """Loaded DRAM latency in cycles for the given aggregate traffic."""
-        u = self.utilization(load)
-        inflation = 1.0 + self._queueing_coefficient * u / (1.0 - u)
-        return self._unloaded_latency_cycles * inflation
-
-    def latency_inflation(self, load: MemoryLoad) -> float:
-        """Ratio of loaded to unloaded latency (>= 1)."""
-        return self.effective_latency_cycles(load) / self._unloaded_latency_cycles
+        return self.latency_at(self.utilization(load))

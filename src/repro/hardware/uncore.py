@@ -55,14 +55,21 @@ class RingBandwidthModel:
     def peak_accesses_per_us(self) -> float:
         return self._peak_accesses_per_second / 1e6
 
-    def utilization(self, load: RingLoad) -> float:
-        raw = load.accesses_per_second / self._peak_accesses_per_second
-        return min(max(raw, 0.0), self._max_utilization)
+    def utilization_at(self, accesses_per_second: float) -> float:
+        """Fraction of the lookup capacity used, clamped to the model maximum."""
+        raw = accesses_per_second / self._peak_accesses_per_second
+        # min(max(raw, 0.0), max_utilization), as the builtins resolve it.
+        if 0.0 > raw:
+            raw = 0.0
+        return self._max_utilization if self._max_utilization < raw else raw
 
-    def effective_latency_cycles(self, load: RingLoad) -> float:
-        u = self.utilization(load)
-        inflation = 1.0 + self._queueing_coefficient * u / (1.0 - u)
+    def latency_at(self, utilization: float) -> float:
+        """Loaded L3 hit latency in cycles at a :meth:`utilization_at` value."""
+        inflation = 1.0 + self._queueing_coefficient * utilization / (1.0 - utilization)
         return self._unloaded_latency_cycles * inflation
 
-    def latency_inflation(self, load: RingLoad) -> float:
-        return self.effective_latency_cycles(load) / self._unloaded_latency_cycles
+    def utilization(self, load: RingLoad) -> float:
+        return self.utilization_at(load.accesses_per_second)
+
+    def effective_latency_cycles(self, load: RingLoad) -> float:
+        return self.latency_at(self.utilization(load))

@@ -61,6 +61,13 @@ operations as the reference code:
   resource profile from ``PhaseCursor.profile``, refreshed on each phase
   transition.
 
+* **Twin lanes** — each rebuild of the runnable set groups identical
+  traffic-generator lanes into classes (:mod:`repro.platform.twins`); a
+  stepped epoch computes the fixed-point demands and the cursor
+  advancement once per class, and the other lanes of a class take the
+  first lane's result.  Every machine-wide sum still adds one term per
+  lane, in runnable order.
+
 The fast path can be disabled with ``EngineConfig(fast_path=False)``: that
 reference path collects the runnable set every epoch, derives each profile
 from the phase index and evaluates the contention model through
@@ -89,6 +96,7 @@ from repro.platform.events import Event, EventKind, EventLog
 from repro.platform.invoker import Invocation, InvocationState
 from repro.platform.sandbox import Sandbox
 from repro.platform.scheduler import Scheduler, SwitchingOverheadModel
+from repro.platform.twins import TwinClasses, twin_classes
 from repro.workloads.function import FunctionSpec
 
 FinishListener = Callable[[Invocation, "SimulationEngine"], None]
@@ -105,6 +113,10 @@ RunnableSignature = Tuple[int, Tuple[Tuple[int, int, int], ...]]
 
 #: One epoch's runnable (invocation, epoch share, thread occupancy) triples.
 Runnable = List[Tuple[Invocation, float, int]]
+
+#: One lane's deltas from one epoch: cycles, instructions, stall cycles,
+#: L2 misses, L3 misses and occupied seconds.
+EpochDeltas = Tuple[float, float, float, float, float, float]
 
 #: The fast path's warm start before any evaluation.  No workload has a hit
 #: fraction in it, so its shared values are never read, and only a result
@@ -138,6 +150,8 @@ class FastPathStats:
     spans: int = 0
     fixed_point_evaluations: int = 0
     fixed_point_reuses: int = 0
+    #: Stepped lane-epochs in which a twin took its representative's result.
+    twin_lane_epochs: int = 0
 
     @property
     def total_epochs(self) -> int:
@@ -269,9 +283,12 @@ class SimulationEngine:
         # The previous epoch's contention result: the fixed point's warm
         # start and, while a stable span runs, the span's penalties.
         self._warm_start = _NO_CONTENTION
-        # (runnable triples, busy threads, multipliers) until a run queue
-        # changes; ``None`` means the next epoch collects them afresh.
-        self._runnable_set: Optional[Tuple[Runnable, int, Dict[int, float]]] = None
+        # (runnable triples, busy threads, multipliers, twin classes) until
+        # a run queue changes; ``None`` means the next epoch collects them
+        # afresh.
+        self._runnable_set: Optional[
+            Tuple[Runnable, int, Dict[int, float], Optional[TwinClasses]]
+        ] = None
         self._span_ready = False
         self._last_frequency_hz = 0.0
         # Fault-injection hook: multiplies the governed frequency.  1.0 is
@@ -279,6 +296,9 @@ class SimulationEngine:
         self._frequency_scale = 1.0
         # The thread list is fixed for the CPU's lifetime.
         self._threads = cpu.threads
+        # Running traffic-generator invocations: with fewer than two there
+        # are no twins, and a co-run's churn rebuilds skip the grouping.
+        self._running_generators = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -409,6 +429,8 @@ class SimulationEngine:
         )
         self._next_invocation_id += 1
         self._invocations[invocation.invocation_id] = invocation
+        if spec.is_traffic_generator:
+            self._running_generators += 1
 
         placed_thread = (
             thread_id if thread_id is not None else self._scheduler.place(invocation, self._cpu)
@@ -431,13 +453,17 @@ class SimulationEngine:
         dt = self._config.epoch_seconds
         now = self._time + dt
         fast = self._config.fast_path
-        if not fast:
-            runnable_set = self._collect_runnable(dt)
-        elif self._runnable_set is None:
-            runnable_set = self._runnable_set = self._collect_runnable(dt)
+        if fast and self._runnable_set is not None:
+            runnable, busy_threads, multipliers, twins = self._runnable_set
         else:
-            runnable_set = self._runnable_set
-        runnable, busy_threads, multipliers = runnable_set
+            runnable, busy_threads, multipliers = self._collect_runnable(dt)
+            twins = None
+            if fast:
+                if self._running_generators >= 2:
+                    twins = twin_classes(
+                        runnable, multipliers, self._warm_start.hit_fractions
+                    )
+                self._runnable_set = (runnable, busy_threads, multipliers, twins)
         if not runnable:
             self._cpu.global_counters.observe(elapsed_seconds=dt)
             self._time = now
@@ -450,7 +476,7 @@ class SimulationEngine:
             frequency_hz = frequency_hz * self._frequency_scale
         if fast:
             finished = self._step_fast(
-                runnable, busy_threads, multipliers, frequency_hz, dt, now
+                runnable, busy_threads, multipliers, twins, frequency_hz, dt, now
             )
         else:
             finished = self._step(runnable, multipliers, frequency_hz, dt, now)
@@ -505,6 +531,7 @@ class SimulationEngine:
         runnable: Runnable,
         busy_threads: int,
         multipliers: Dict[int, float],
+        twins: Optional[TwinClasses],
         frequency_hz: float,
         dt: float,
         now: float,
@@ -534,7 +561,7 @@ class SimulationEngine:
                 self._stats.fixed_point_reuses += 1
         if result is None:
             result, converged = self._fixed_point_fast(
-                runnable, frequency_hz, dt, multipliers
+                runnable, twins, frequency_hz, dt, multipliers
             )
             self._stats.fixed_point_evaluations += 1
             if converged:
@@ -549,26 +576,37 @@ class SimulationEngine:
         hit_latency = result.l3_hit_latency_cycles
         memory_latency = result.memory_latency_cycles
         inflation = result.private_inflation
-        advance = self._advance_invocation_fast
-        finished: List[Invocation] = []
-        for invocation, share_seconds, occupancy in runnable:
+        advance = self._advance_cursor
+        leaders = None
+        if twins is not None:
+            leaders = twins.leaders
+            self._stats.twin_lane_epochs += twins.twins
+        lane_deltas: List[Optional[EpochDeltas]] = []
+        for position, (invocation, share_seconds, occupancy) in enumerate(runnable):
+            if leaders is not None and leaders[position] is not None:
+                # A twin: its representative already advanced from the
+                # same position with the same inputs.
+                leader = leaders[position]
+                invocation.cursor.take_position(runnable[leader][0].cursor)
+                lane_deltas.append(lane_deltas[leader])
+                continue
             hit_fraction = hit_fractions.get(invocation.invocation_id)
             if hit_fraction is None:
                 # The invocation had no current profile (already finished).
+                lane_deltas.append(None)
                 continue
-            if advance(
-                invocation,
-                share_seconds * frequency_hz,
-                occupancy,
-                hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency,
-                1.0 - hit_fraction,
-                inflation,
-                multipliers[invocation.invocation_id],
-                frequency_hz,
-                dt,
-                now,
-            ):
-                finished.append(invocation)
+            lane_deltas.append(
+                advance(
+                    invocation,
+                    share_seconds * frequency_hz,
+                    hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency,
+                    1.0 - hit_fraction,
+                    inflation,
+                    multipliers[invocation.invocation_id],
+                    frequency_hz,
+                )
+            )
+        finished = self._apply_deltas(runnable, lane_deltas, dt, now)
 
         # The result is an exact fixed point and nothing changed the
         # runnable set this epoch (finish listeners can only fire on
@@ -688,7 +726,7 @@ class SimulationEngine:
         """
         dt = self._config.epoch_seconds
         frequency_hz = self._last_frequency_hz
-        runnable, _, multipliers = self._runnable_set
+        runnable, _, multipliers, _ = self._runnable_set
         result = self._warm_start
         hit_fractions = result.hit_fractions
         hit_latency = result.l3_hit_latency_cycles
@@ -916,6 +954,7 @@ class SimulationEngine:
     def _fixed_point_fast(
         self,
         runnable: Runnable,
+        twins: Optional[TwinClasses],
         frequency_hz: float,
         dt: float,
         multipliers: Dict[int, float],
@@ -929,15 +968,22 @@ class SimulationEngine:
         instead of per-iteration ``WorkloadDemand`` construction; the
         penalties are one :class:`ContentionResult`, and
         :meth:`ContentionResult.reproduces` decides exact convergence.
-        Every arithmetic expression keeps the reference implementation's
-        operand order.  Behavioural changes go into :meth:`_fixed_point`
-        first.
+        With twin classes, one demand row per class is built and the
+        contention model expands it to every lane of the class.  Every
+        arithmetic expression keeps the reference implementation's operand
+        order.  Behavioural changes go into :meth:`_fixed_point` first.
         """
         machine = self._cpu.machine
         solo_hit_latency = machine.l3.latency_cycles
         solo_memory_latency = machine.memory_latency_cycles
+        if twins is None:
+            lanes, classes, workload_ids = runnable, None, None
+        else:
+            lanes, classes, workload_ids = (
+                twins.representatives, twins.classes, twins.workload_ids
+            )
         rows = []
-        for invocation, share_seconds, occupancy in runnable:
+        for invocation, share_seconds, occupancy in lanes:
             cursor = invocation.cursor
             profile = cursor.profile
             if profile is None:
@@ -1006,35 +1052,29 @@ class SimulationEngine:
                         mlp,
                     )
                 )
-            result = evaluate_tuples(demands)
+            result = evaluate_tuples(demands, classes, workload_ids)
         return result, result.reproduces(initial)
 
-    def _advance_invocation_fast(
+    def _advance_cursor(
         self,
         invocation: Invocation,
         budget_cycles: float,
-        occupancy: int,
         hit_term: float,
         miss_fraction: float,
         inflation: float,
         multiplier: float,
         frequency_hz: float,
-        dt: float,
-        now: float,
-    ) -> bool:
-        """Bit-identical replica of :meth:`_advance_invocation`.
+    ) -> EpochDeltas:
+        """Advance one invocation's cursor through one epoch; return its deltas.
 
-        Takes the epoch's cycle budget and the penalty terms the caller
-        derived once per invocation (``hit_term`` is the hit-latency-weighted
-        sum :meth:`SharedResourcePenalty.stall_cycles_per_l2_miss` divides by
-        the MLP), accumulates the performance counters with direct attribute
-        additions (``PMUCounters.observe`` validates seven already
-        non-negative values per call, which is pure overhead on this path),
-        and records the end of the probe window as the caller of the
-        reference implementation does.  The addition order per accumulator
-        matches the reference implementation exactly.  Behavioural changes
-        go into :meth:`_advance_invocation` first.  Returns whether the
-        invocation finished.
+        With :meth:`_apply_deltas`, a bit-identical replica of
+        :meth:`_advance_invocation`.  Takes the epoch's cycle budget and the
+        penalty terms the caller derived once per invocation (``hit_term``
+        is the hit-latency-weighted sum
+        :meth:`SharedResourcePenalty.stall_cycles_per_l2_miss` divides by the
+        MLP) and accumulates each delta in the reference implementation's
+        addition order.  Behavioural changes go into
+        :meth:`_advance_invocation` first.
         """
         cursor = invocation.cursor
         total_cycles = 0.0
@@ -1042,8 +1082,10 @@ class SimulationEngine:
         total_stall = 0.0
         total_l2 = 0.0
         total_l3 = 0.0
+        # Field reads of ``not is_traffic_generator and not startup_recorded``.
         watch_startup = (
-            not invocation.is_traffic_generator and not invocation.startup_recorded
+            invocation.startup_counters is None
+            and not invocation.spec.is_traffic_generator
         )
 
         profile = cursor.profile
@@ -1066,32 +1108,90 @@ class SimulationEngine:
             if watch_startup and cursor.startup_complete:
                 break
             profile = cursor.profile
+        return (
+            total_cycles,
+            total_instructions,
+            total_stall,
+            total_l2,
+            total_l3,
+            total_cycles / frequency_hz,
+        )
 
-        occupied_seconds = total_cycles / frequency_hz
-        counters = invocation.counters
-        counters.cycles += total_cycles
-        counters.instructions += total_instructions
-        counters.stall_cycles_l2_miss += total_stall
-        counters.l2_misses += total_l2
-        counters.l3_misses += total_l3
-        global_counters = self._cpu.global_counters
-        global_counters.cycles += total_cycles
-        global_counters.instructions += total_instructions
-        global_counters.stall_cycles_l2_miss += total_stall
-        global_counters.l2_misses += total_l2
-        global_counters.l3_misses += total_l3
-        if occupancy > 1:
-            counters.context_switches += 1.0
-            global_counters.context_switches += 1.0
-        counters.elapsed_seconds += occupied_seconds
-        # Inlined observe_occupancy (occupancy >= 1 and dt > 0 by construction).
-        invocation._occupancy_weighted_sum += occupancy * dt
-        invocation._occupancy_weight += dt
+    def _apply_deltas(
+        self,
+        runnable: Runnable,
+        lane_deltas: List[Optional[EpochDeltas]],
+        dt: float,
+        now: float,
+    ) -> List[Invocation]:
+        """Add each lane's epoch deltas to its own and the machine's counters.
 
-        if watch_startup and cursor.startup_complete:
-            invocation.record_startup_completion(now, global_counters.snapshot())
-            self._record_event(EventKind.STARTUP_COMPLETE, invocation, time=now)
-        return cursor.profile is None
+        With :meth:`_advance_cursor`, a bit-identical replica of
+        :meth:`_advance_invocation` and the probe-window bookkeeping of its
+        caller.  ``lane_deltas`` holds one entry per runnable lane, ``None``
+        for a lane without a current profile.  Every accumulator gets one
+        addition per lane, in runnable order.  The invocation counters take
+        direct attribute additions (``PMUCounters.observe`` validates seven
+        already non-negative values per call, which is pure overhead on
+        this path); the machine counters run in locals, written back before
+        a probe-window snapshot reads them and at the end, so the split
+        from :meth:`_advance_cursor` costs a lane no extra call.  Returns
+        the invocations that finished.
+        """
+        machine = self._cpu.global_counters
+        machine_cycles = machine.cycles
+        machine_instructions = machine.instructions
+        machine_stall = machine.stall_cycles_l2_miss
+        machine_l2 = machine.l2_misses
+        machine_l3 = machine.l3_misses
+        machine_switches = machine.context_switches
+        finished: List[Invocation] = []
+        for (invocation, _, occupancy), deltas in zip(runnable, lane_deltas):
+            if deltas is None:
+                continue
+            cycles, instructions, stall, l2_misses, l3_misses, occupied_seconds = deltas
+            counters = invocation.counters
+            counters.cycles += cycles
+            counters.instructions += instructions
+            counters.stall_cycles_l2_miss += stall
+            counters.l2_misses += l2_misses
+            counters.l3_misses += l3_misses
+            machine_cycles += cycles
+            machine_instructions += instructions
+            machine_stall += stall
+            machine_l2 += l2_misses
+            machine_l3 += l3_misses
+            if occupancy > 1:
+                counters.context_switches += 1.0
+                machine_switches += 1.0
+            counters.elapsed_seconds += occupied_seconds
+            # Inlined observe_occupancy (occupancy >= 1 and dt > 0 by construction).
+            invocation._occupancy_weighted_sum += occupancy * dt
+            invocation._occupancy_weight += dt
+
+            cursor = invocation.cursor
+            if (
+                invocation.startup_counters is None
+                and not invocation.spec.is_traffic_generator
+                and cursor.startup_complete
+            ):
+                machine.cycles = machine_cycles
+                machine.instructions = machine_instructions
+                machine.stall_cycles_l2_miss = machine_stall
+                machine.l2_misses = machine_l2
+                machine.l3_misses = machine_l3
+                machine.context_switches = machine_switches
+                invocation.record_startup_completion(now, machine.snapshot())
+                self._record_event(EventKind.STARTUP_COMPLETE, invocation, time=now)
+            if cursor.profile is None:
+                finished.append(invocation)
+        machine.cycles = machine_cycles
+        machine.instructions = machine_instructions
+        machine.stall_cycles_l2_miss = machine_stall
+        machine.l2_misses = machine_l2
+        machine.l3_misses = machine_l3
+        machine.context_switches = machine_switches
+        return finished
 
     def _advance_invocation(
         self,
@@ -1175,6 +1275,8 @@ class SimulationEngine:
             self._cpu.thread(thread_id).dequeue(invocation.invocation_id)
         invocation.mark_finished(self._time)
         self._completed.append(invocation)
+        if invocation.is_traffic_generator:
+            self._running_generators -= 1
         self._record_event(EventKind.FINISH, invocation)
         for listener in list(self._finish_listeners):
             listener(invocation, self)

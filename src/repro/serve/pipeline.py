@@ -242,6 +242,13 @@ class StreamPipeline:
                     checkpoints += 1
         finally:
             self._stop.set()
+            # Free the input queue so an ingest put blocked on it returns
+            # now rather than at its timeout; ingest then sees the stop.
+            while True:
+                try:
+                    self._in.get_nowait()
+                except queue.Empty:
+                    break
             self._put_out(_DONE)
             ingest.join()
             publish.join()

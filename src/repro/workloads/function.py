@@ -209,6 +209,20 @@ class PhaseCursor:
         self._instructions_into_phase = instructions_into_phase
         self._instructions_retired = instructions_retired
 
+    def take_position(self, other: "PhaseCursor") -> None:
+        """Move to ``other``'s position: phase, progress into it and profile.
+
+        For the engine's twin lanes: a twin takes its representative's
+        position once the representative has advanced through the epoch.
+        The caller must guarantee that the two cursors stood at equal
+        positions before, with equal phase lists from there on, so the
+        copy is exactly what advancing this cursor would have computed.
+        """
+        self._phase_index = other._phase_index
+        self._instructions_into_phase = other._instructions_into_phase
+        self._instructions_retired = other._instructions_retired
+        self.profile = other.profile
+
     def advance(self, instructions: float) -> float:
         """Retire up to ``instructions`` within the *current* phase.
 

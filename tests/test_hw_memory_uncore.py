@@ -26,13 +26,6 @@ class TestMemoryBandwidthModel:
         model = self.make(max_utilization=0.95)
         assert model.utilization(MemoryLoad(1e12)) == pytest.approx(0.95)
 
-    def test_latency_inflation_is_ratio(self):
-        model = self.make()
-        load = MemoryLoad(50e9)
-        assert model.latency_inflation(load) == pytest.approx(
-            model.effective_latency_cycles(load) / 238.0
-        )
-
     def test_monotone_in_load(self):
         model = self.make()
         loads = [MemoryLoad(x * 1e9) for x in (0, 20, 40, 60, 80, 120)]

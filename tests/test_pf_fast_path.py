@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.calibration import Calibrator
+from repro.core.persistence import calibration_to_dict
+from repro.experiments.config import one_per_core
+from repro.experiments.harness import registry_for
 from repro.hardware.contention import ContentionResult
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import CASCADE_LAKE_5218
@@ -112,6 +116,25 @@ class TestEngineFastPathStats:
         # The fixed point must have been evaluated far fewer times than the
         # number of simulated epochs.
         assert stats.fixed_point_evaluations < stats.total_epochs / 2
+
+
+class TestTwinLanes:
+    def _calibration(self, fast_path: bool):
+        config = one_per_core()
+        return Calibrator(
+            config.machine,
+            registry_for(config),
+            config.calibration_scenario,
+            stress_levels=(4, 18),
+            engine_config=EngineConfig(fast_path=fast_path),
+        ).calibrate()
+
+    def test_dedicated_calibration_is_bit_identical(self):
+        # Both generators at two stress levels: 3 and 17 twins per stepped
+        # epoch next to one probe or reference function.
+        assert calibration_to_dict(self._calibration(True)) == calibration_to_dict(
+            self._calibration(False)
+        )
 
 
 class TestEngineConfigFlag:

@@ -267,22 +267,24 @@ _THROTTLE_SCALE = 0.5
 
 
 def _run_schedule(
-    schedule, fast_path, *, churn=False, generator=False, smt=False, throttle_epoch=None
+    schedule, fast_path, *, churn=False, generators=0, smt=False, throttle_epoch=None
 ):
     """Run ``schedule`` on a fresh engine, optionally with the events that
     drop or bypass the fast path's caches: churn resubmitting from a finish
-    listener in the same epoch, a traffic-generator thread, SMT sibling
-    penalties and a mid-run frequency change."""
+    listener in the same epoch, ``generators`` traffic-generator threads
+    (two or more form twin lanes), SMT sibling penalties and a mid-run
+    frequency change."""
     cpu = CPU(CASCADE_LAKE_5218, smt_enabled=smt)
-    # With SMT on, threads n and n + 16 are siblings: three sibling pairs.
+    # With SMT on, threads n and n + 16 are siblings: three sibling pairs,
+    # whose lanes come before and after the generator threads' lanes.
     threads = [0, 1, 2, 16, 17, 18] if smt else list(range(6))
     engine = SimulationEngine(
         cpu,
         LeastOccupancyScheduler(allowed_threads=threads, max_per_thread=8),
         config=EngineConfig(fast_path=fast_path),
     )
-    if generator:
-        engine.submit(ct_gen(1).thread_specs()[0], thread_id=8, tags={"role": "generator"})
+    for spec, thread_id in zip(ct_gen(generators).thread_specs(), (8, 9, 10)):
+        engine.submit(spec, thread_id=thread_id, tags={"role": "generator"})
     if churn:
         mixer = WorkloadMixer(_PROP_SPECS, seed=7)
         ChurnManager(mixer, target_count=2, thread_ids=threads).attach(engine)
@@ -321,18 +323,23 @@ def _run_schedule(
 @given(
     submission_schedules,
     st.booleans(),
-    st.booleans(),
+    st.integers(min_value=0, max_value=3),
     st.booleans(),
     st.none() | st.integers(min_value=0, max_value=30),
 )
 @settings(max_examples=16, deadline=None)
 def test_fast_path_bit_identical_to_epoch_stepping(
-    schedule, churn, generator, smt, throttle_epoch
+    schedule, churn, generators, smt, throttle_epoch
 ):
-    """Skip-ahead + penalty memoization must not change one bit of state."""
-    options = dict(churn=churn, generator=generator, smt=smt, throttle_epoch=throttle_epoch)
+    """Skip-ahead, penalty memoization and twin lanes must not change one
+    bit of state."""
+    options = dict(
+        churn=churn, generators=generators, smt=smt, throttle_epoch=throttle_epoch
+    )
     fast_engine, fast_invocations = _run_schedule(schedule, True, **options)
     slow_engine, slow_invocations = _run_schedule(schedule, False, **options)
+    if generators >= 2:
+        assert fast_engine.fast_path_stats.twin_lane_epochs > 0
 
     assert fast_engine.time_seconds == slow_engine.time_seconds
     assert (
@@ -378,6 +385,22 @@ contention_entries = st.lists(
 )
 
 
+#: Entries shared by twin workloads: like ``contention_entries``, plus
+#: working sets small enough that the water-fill caps a class of twins.
+class_entries = st.lists(
+    st.tuples(
+        st.just(0.0) | st.floats(min_value=0.0, max_value=5e8),
+        st.just(0.0)
+        | st.floats(min_value=0.0, max_value=2.0)
+        | st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0, max_value=10.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
 def _demands(raw):
     return [
         WorkloadDemand(
@@ -419,15 +442,29 @@ def _bits(penalty):
     )
 
 
-@given(contention_entries)
-@settings(max_examples=60, deadline=None)
-def test_evaluate_tuples_matches_evaluate(raw):
-    demands = _demands(raw)
-    reference = _MODEL.evaluate(demands)
-    result = _MODEL.evaluate_tuples(_entries(demands))
+def _assert_same_penalties(result, reference):
     assert set(result.hit_fractions) == set(reference)
     for workload_id, penalty in reference.items():
         assert _bits(_penalty(result, workload_id)) == _bits(penalty)
+
+
+@given(contention_entries, st.data())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_tuples_matches_evaluate(raw, data):
+    """Bit for bit, with one entry per workload and with entries shared by
+    several workloads (twins) in a shuffled workload order."""
+    demands = _demands(raw)
+    _assert_same_penalties(_MODEL.evaluate_tuples(_entries(demands)), _MODEL.evaluate(demands))
+
+    shared = data.draw(class_entries)
+    repeats = data.draw(
+        st.lists(st.integers(min_value=0, max_value=len(shared) - 1), max_size=16)
+    )
+    classes = data.draw(st.permutations(list(range(len(shared))) + repeats))
+    _assert_same_penalties(
+        _MODEL.evaluate_tuples(_entries(_demands(shared)), classes, range(len(classes))),
+        _MODEL.evaluate(_demands([shared[position] for position in classes])),
+    )
 
 
 @given(contention_entries, contention_entries, st.integers(min_value=0, max_value=16))

@@ -13,7 +13,10 @@ from __future__ import annotations
 import base64
 import json
 import pickle
+import queue
 import tempfile
+import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -314,6 +317,33 @@ def test_pipeline_max_chunks_checkpoints_and_stops(tmp_path):
     assert path.exists()
     restored = load_checkpoint(path)
     assert restored.epochs_done == replay.epochs_done == 50
+
+
+def test_pipeline_early_stop_does_not_wait_out_a_blocked_ingest(monkeypatch):
+    """A ``max_chunks`` stop releases an ingest put blocked on a full queue.
+
+    Timed puts wait 30 s here, so ``run`` only returns promptly if the stop
+    unblocks the ingest thread instead of waiting out its put timeout.
+    """
+    original_put = queue.Queue.put
+
+    def slow_put(self, item, block=True, timeout=None):
+        return original_put(self, item, block, None if timeout is None else 30.0)
+
+    monkeypatch.setattr(queue.Queue, "put", slow_put)
+    replay = StreamReplay(_compiled("smoke"))
+    plan = chunk_plan(replay.epochs_total, 5)
+    assert len(plan) > 6  # more chunks than the queue holds plus one in flight
+    started = time.perf_counter()
+    summary = StreamPipeline(
+        replay, plan, queue_depth=2, max_chunks=1, finalize=False
+    ).run()
+    assert time.perf_counter() - started < 5.0
+    assert summary.chunks == 1
+    assert not any(
+        thread.name == "stream-ingest" and thread.is_alive()
+        for thread in threading.enumerate()
+    )
 
 
 # --------------------------------------------------------------------- #
