@@ -27,9 +27,10 @@ diff when the regenerated text does not match the committed results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, NoReturn, Optional, Sequence
 
 from repro import benchlog
 from repro._version import __version__
@@ -893,6 +894,35 @@ _METRICS_OUT_HELP = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line on stderr and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _series_budget(text: str) -> int:
+    """argparse type of ``--series-budget``: 0 (off) or at least 2 points."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value != 0 and value < 2:
+        raise argparse.ArgumentTypeError(f"must be 0 (off) or at least 2, got {value}")
+    return value
+
+
 def _add_telemetry_flags(
     parser: argparse.ArgumentParser,
     *,
@@ -919,7 +949,7 @@ def _add_telemetry_flags(
     if series_budget:
         parser.add_argument(
             "--series-budget",
-            type=int,
+            type=_series_budget,
             default=512,
             metavar="POINTS",
             help="per-shard point budget for per-epoch series telemetry "
@@ -929,7 +959,7 @@ def _add_telemetry_flags(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of 'Litmus: Fair Pricing for Serverless Computing'",
     )
@@ -1053,19 +1083,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--horizon",
-        type=float,
+        type=_finite_float,
         default=None,
         help="simulated seconds per scenario (default: 2.0)",
     )
     sweep_parser.add_argument(
         "--epoch-seconds",
-        type=float,
+        type=_finite_float,
         default=None,
         help="epoch length in simulated seconds (default: 1e-3)",
     )
     sweep_parser.add_argument(
         "--registry-scale",
-        type=float,
+        type=_finite_float,
         default=None,
         help="body-length scale applied to every function (default: 0.1)",
     )
@@ -1201,20 +1231,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--perturb-scale",
-        type=float,
+        type=_finite_float,
         default=1.3,
         help="--once only: fabricate truth by scaling the parameter "
         "(default: 1.3)",
     )
     calibrate_parser.add_argument(
         "--min",
-        type=float,
+        type=_finite_float,
         default=None,
         help="grid lower bound (default: half the nominal value)",
     )
     calibrate_parser.add_argument(
         "--max",
-        type=float,
+        type=_finite_float,
         default=None,
         help="grid upper bound (default: double the nominal value)",
     )
@@ -1246,7 +1276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--threshold",
-        type=float,
+        type=_finite_float,
         default=0.005,
         help="windowed MAPE above this detects drift (default: 0.005)",
     )
@@ -1258,7 +1288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--drift-at",
-        type=float,
+        type=_finite_float,
         action="append",
         default=[],
         metavar="SECONDS",
@@ -1267,7 +1297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--drift-scale",
-        type=float,
+        type=_finite_float,
         action="append",
         default=[],
         metavar="SCALE",
@@ -1332,7 +1362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tail_parser.add_argument(
         "--max-seconds",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="SECONDS",
         help="stop following after this long (default: until interrupted)",

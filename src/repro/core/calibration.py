@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import diskcache
 from repro.analysis.stats import geometric_mean
 from repro.core.litmus_test import LitmusProbe, StartupBaseline, probe_spec
 from repro.core.tables import (
@@ -432,35 +433,38 @@ class _StressPointResult:
 
 
 # --------------------------------------------------------------------- #
-# Process-wide calibration cache, backed by the versioned on-disk cache
+# Calibrations memoized in process and on disk (repro.diskcache)
 # --------------------------------------------------------------------- #
-_CALIBRATION_CACHE: Dict[str, CalibrationResult] = {}
-
-
-def _cache_key(
+def calibration_identity(
     machine: MachineSpec,
     scenario: CalibrationScenario,
-    stress_levels: Sequence[int],
-    registry_signature: str,
-    reference_repetitions: int,
-    probe_repetitions: int,
-    engine_config: EngineConfig,
-    contention_signature: str,
-) -> str:
-    levels = ",".join(str(level) for level in sorted(set(stress_levels)))
+    *,
+    registry: Optional[FunctionRegistry] = None,
+    stress_levels: Sequence[int] = (2, 6, 10, 14, 18),
+    reference_repetitions: int = 1,
+    probe_repetitions: int = 1,
+    engine_config: Optional[EngineConfig] = None,
+    contention_parameters: Optional[ContentionParameters] = None,
+) -> Tuple[object, ...]:
+    """Everything :func:`calibrate_cached`'s tables are a pure function of.
+
+    It is the calibration's memo identity and, fingerprinted, its disk
+    key: the full CPU topology and scenario, the distinct stress levels,
+    the registry contents (phases included), the repetitions, the engine
+    configuration and the contention parameters.
+    """
+    engine_config = engine_config or EngineConfig()
     return (
-        f"{machine.name}|{scenario.name}|{levels}|{registry_signature}"
-        f"|ref{reference_repetitions}|probe{probe_repetitions}"
-        f"|dt{engine_config.epoch_seconds!r}|it{engine_config.fixed_point_iterations}"
-        f"|cp{contention_signature}"
+        machine,
+        scenario,
+        tuple(sorted(set(int(level) for level in stress_levels))),
+        diskcache.registry_fingerprint((registry or default_registry()).all()),
+        reference_repetitions,
+        probe_repetitions,
+        engine_config.epoch_seconds,
+        engine_config.fixed_point_iterations,
+        contention_parameters,
     )
-
-
-def _registry_signature(registry: FunctionRegistry) -> str:
-    parts = []
-    for spec in sorted(registry.all(), key=lambda s: s.abbreviation):
-        parts.append(f"{spec.abbreviation}:{spec.total_instructions:.0f}")
-    return ";".join(parts)
 
 
 def calibrate_cached(
@@ -474,83 +478,49 @@ def calibrate_cached(
     engine_config: Optional[EngineConfig] = None,
     oracle: Optional[SoloOracle] = None,
 ) -> CalibrationResult:
-    """Calibrate once per (machine, scenario, levels, registry) — ever.
+    """Calibrate once per :func:`calibration_identity` — ever.
 
-    Calibration sweeps are the most expensive part of the study.  Two cache
-    layers make them amortized-free: a process-wide dictionary (so, e.g.,
-    every Method 2 pricing figure in one process reuses the same
-    sharing-scenario tables, exactly as a provider would) and the versioned
-    on-disk cache of :mod:`repro.diskcache` (so parallel figure workers and
-    repeated sweeps — CI runs, staleness checks — calibrate each
-    configuration once per machine rather than once per process).  The
-    on-disk key covers the full CPU topology, the registry contents
-    (phases included) and the engine configuration; entries from older
-    cache versions are ignored and recomputed.
+    Calibration sweeps are the most expensive part of the study, so they
+    go through :func:`repro.diskcache.memoized`: every Method 2 pricing
+    figure in one process reuses the same sharing-scenario tables, exactly
+    as a provider would, and parallel figure workers and repeated sweeps
+    (CI runs, staleness checks) calibrate each configuration once per
+    machine rather than once per process.
     """
     # Imported here: persistence imports this module at top level.
-    from repro import diskcache
     from repro.core.persistence import calibration_from_dict, calibration_to_dict
 
     registry = registry or default_registry()
-    resolved_engine_config = engine_config or EngineConfig()
     # A custom oracle carries its own contention parameters into the solo
-    # baselines, so they are part of both cache identities.
+    # baselines, so they are part of the identity.  They must also drive
+    # the stress-point CPUs: without that a recalibrated profile's tables
+    # would mix the new solo baselines with default-coefficient congestion
+    # measurements.
     contention_parameters = None if oracle is None else oracle.contention_parameters
-    key = _cache_key(
+    identity = calibration_identity(
         machine,
         scenario,
-        stress_levels,
-        _registry_signature(registry),
-        reference_repetitions,
-        probe_repetitions,
-        resolved_engine_config,
-        diskcache.fingerprint(contention_parameters),
-    )
-    if key in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[key]
-
-    disk_key = diskcache.fingerprint(
-        machine,
-        scenario,
-        tuple(sorted(set(int(level) for level in stress_levels))),
-        diskcache.registry_fingerprint(registry.all()),
-        reference_repetitions,
-        probe_repetitions,
-        resolved_engine_config.epoch_seconds,
-        resolved_engine_config.fixed_point_iterations,
-        contention_parameters,
-    )
-    payload = diskcache.load("calibration", disk_key)
-    if payload is not None:
-        try:
-            result = calibration_from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            result = None
-        if result is not None:
-            _CALIBRATION_CACHE[key] = result
-            return result
-
-    calibrator = Calibrator(
-        machine,
-        registry,
-        scenario,
+        registry=registry,
         stress_levels=stress_levels,
         reference_repetitions=reference_repetitions,
         probe_repetitions=probe_repetitions,
         engine_config=engine_config,
-        # The oracle's parameters must also drive the stress-point CPUs:
-        # they are part of both cache identities above, and without this
-        # a recalibrated profile's tables would mix the new solo
-        # baselines with default-coefficient congestion measurements.
         contention_parameters=contention_parameters,
-        oracle=oracle,
     )
-    result = calibrator.calibrate()
-    _CALIBRATION_CACHE[key] = result
-    diskcache.store("calibration", disk_key, calibration_to_dict(result))
-    return result
 
+    def calibrate() -> CalibrationResult:
+        return Calibrator(
+            machine,
+            registry,
+            scenario,
+            stress_levels=stress_levels,
+            reference_repetitions=reference_repetitions,
+            probe_repetitions=probe_repetitions,
+            engine_config=engine_config,
+            contention_parameters=contention_parameters,
+            oracle=oracle,
+        ).calibrate()
 
-def clear_calibration_cache() -> None:
-    """Drop all cached calibrations (used by tests)."""
-    _CALIBRATION_CACHE.clear()
+    return diskcache.memoized(
+        "calibration", identity, calibrate, calibration_to_dict, calibration_from_dict
+    )

@@ -27,7 +27,6 @@ from repro.core.tables import (
     PerformanceTable,
 )
 from repro.hardware.topology import machine_by_name
-from repro.platform.metering import InvocationMeasurement, StartupMeasurement
 from repro.platform.oracle import SoloProfile
 from repro.workloads.runtimes import Language
 from repro.workloads.traffic import GeneratorKind
@@ -45,35 +44,6 @@ def _encode_startup_baseline(baseline: StartupBaseline) -> Mapping[str, float]:
         "private_seconds": baseline.private_seconds,
         "shared_seconds": baseline.shared_seconds,
         "machine_l3_misses": baseline.machine_l3_misses,
-    }
-
-
-def _encode_execution(measurement: InvocationMeasurement) -> Mapping[str, object]:
-    return {
-        "function": measurement.function,
-        "memory_gb": measurement.memory_gb,
-        "occupied_seconds": measurement.occupied_seconds,
-        "t_private_seconds": measurement.t_private_seconds,
-        "t_shared_seconds": measurement.t_shared_seconds,
-        "instructions": measurement.instructions,
-        "cycles": measurement.cycles,
-        "l2_misses": measurement.l2_misses,
-        "l3_misses": measurement.l3_misses,
-        "mean_thread_occupancy": measurement.mean_thread_occupancy,
-    }
-
-
-def _encode_startup(measurement: StartupMeasurement) -> Mapping[str, object]:
-    return {
-        "function": measurement.function,
-        "language": measurement.language,
-        "instructions": measurement.instructions,
-        "t_private_seconds": measurement.t_private_seconds,
-        "t_shared_seconds": measurement.t_shared_seconds,
-        "private_cycles": measurement.private_cycles,
-        "shared_cycles": measurement.shared_cycles,
-        "wall_seconds": measurement.wall_seconds,
-        "machine_l3_misses": measurement.machine_l3_misses,
     }
 
 
@@ -96,12 +66,7 @@ def calibration_to_dict(result: CalibrationResult) -> Dict[str, object]:
             for baseline in result.startup_baselines.values()
         ],
         "reference_baselines": {
-            abbreviation: {
-                "execution": _encode_execution(profile.execution),
-                "startup": _encode_startup(profile.startup)
-                if profile.startup is not None
-                else None,
-            }
+            abbreviation: profile.to_dict()
             for abbreviation, profile in result.reference_baselines.items()
         },
         "congestion_table": [dict(row) for row in result.congestion_table.rows()],
@@ -123,14 +88,6 @@ def calibration_to_dict(result: CalibrationResult) -> Dict[str, object]:
 # --------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------- #
-def _decode_execution(payload: Mapping[str, object]) -> InvocationMeasurement:
-    return InvocationMeasurement(**payload)  # type: ignore[arg-type]
-
-
-def _decode_startup(payload: Mapping[str, object]) -> StartupMeasurement:
-    return StartupMeasurement(**payload)  # type: ignore[arg-type]
-
-
 def calibration_from_dict(payload: Mapping[str, object]) -> CalibrationResult:
     """Rebuild a calibration result from :func:`calibration_to_dict` output."""
     version = payload.get("format_version")
@@ -158,13 +115,10 @@ def calibration_from_dict(payload: Mapping[str, object]) -> CalibrationResult:
             machine_l3_misses=entry["machine_l3_misses"],
         )
 
-    reference_baselines = {}
-    for abbreviation, entry in payload["reference_baselines"].items():
-        startup = entry.get("startup")
-        reference_baselines[abbreviation] = SoloProfile(
-            execution=_decode_execution(entry["execution"]),
-            startup=_decode_startup(startup) if startup is not None else None,
-        )
+    reference_baselines = {
+        abbreviation: SoloProfile.from_dict(entry)
+        for abbreviation, entry in payload["reference_baselines"].items()
+    }
 
     congestion = CongestionTable(
         CongestionObservation(

@@ -23,9 +23,14 @@ Layout and guarantees:
   concurrent worker processes can race on the same entry safely — one of
   them wins, all of them read back identical data.
 
-Set ``REPRO_DISK_CACHE=0`` to disable the cache entirely (every lookup
-misses, nothing is written), which the determinism checks use to compare
-cold and warm runs.
+Artefacts go through :func:`memoized`, one memo with two layers: an
+in-process dictionary keyed on the artefact's *identity* (a hashable
+tuple of everything it is a pure function of) and the disk entry keyed on
+``fingerprint(*identity)``.  :func:`forget` drops the in-process layer.
+
+Set ``REPRO_DISK_CACHE=0`` to disable the disk layer entirely (every
+lookup misses, nothing is written), which the determinism checks use to
+compare cold and warm runs.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, TypeVar
 
 #: Bump when simulation semantics change so stale artefacts cannot leak
 #: into freshly generated figures.
@@ -45,6 +50,12 @@ CACHE_VERSION = 1
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLED = "REPRO_DISK_CACHE"
+
+T = TypeVar("T")
+
+#: The in-process layer of :func:`memoized`: ``(kind, identity) -> artefact``.
+_MEMO: Dict[Tuple[str, Tuple[Any, ...]], Any] = {}
+_MISSING = object()
 
 
 def cache_enabled() -> bool:
@@ -157,10 +168,10 @@ def store(kind: str, key: str, payload: Dict[str, Any]) -> Optional[Path]:
 def registry_fingerprint(specs: Iterable[Any]) -> str:
     """Fingerprint a registry's full contents (phases included).
 
-    Unlike the in-memory cache key — which only needs to separate registries
-    within one process — the on-disk key must capture everything that feeds
-    the simulation, so the whole spec (language, memory, startup scale and
-    each phase's profile) goes into the hash.
+    A registry stands in an artefact's identity as this string, so it must
+    capture everything that feeds the simulation: the whole spec
+    (language, memory, startup scale and each phase's profile) goes into
+    the hash.
     """
     return fingerprint(
         sorted(
@@ -168,3 +179,43 @@ def registry_fingerprint(specs: Iterable[Any]) -> str:
             key=lambda entry: entry["abbreviation"],
         )
     )
+
+
+def memoized(
+    kind: str,
+    identity: Tuple[Any, ...],
+    compute: Callable[[], T],
+    encode: Callable[[T], Dict[str, Any]],
+    decode: Callable[[Mapping[str, Any]], T],
+) -> T:
+    """Return the ``kind`` artefact named by ``identity``, computed at most once.
+
+    ``identity`` holds everything the artefact is a pure function of —
+    frozen dataclasses, numbers and strings — so equal identities name
+    equal artefacts in this process and in any other.  The in-process
+    layer keys on the tuple itself, so a hit costs one hash.  Only a miss
+    computes ``fingerprint(*identity)`` and asks the disk layer; a stored
+    entry that fails to ``decode`` is recomputed and rewritten like a
+    missing one.
+    """
+    memo_key = (kind, identity)
+    value = _MEMO.get(memo_key, _MISSING)
+    if value is not _MISSING:
+        return value
+    key = fingerprint(*identity)
+    payload = load(kind, key)
+    if payload is not None:
+        try:
+            value = decode(payload)
+        except (LookupError, TypeError, ValueError, AttributeError):
+            pass  # schema drift or a damaged entry: recompute it
+    if value is _MISSING:
+        value = compute()
+        store(kind, key, encode(value))
+    _MEMO[memo_key] = value
+    return value
+
+
+def forget() -> None:
+    """Drop the in-process layer of :func:`memoized`; the disk layer stays."""
+    _MEMO.clear()

@@ -22,6 +22,7 @@ from repro import diskcache
 from repro.analysis.errors import PriceErrorBreakdown, price_error_breakdown
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import geometric_mean
+from repro.core import calibration as core_calibration
 from repro.core.calibration import CalibrationResult, calibrate_cached
 from repro.core.estimator import CongestionEstimator
 from repro.core.pricing import IdealPricing, LitmusPricingEngine, PriceQuote
@@ -166,7 +167,6 @@ class PriceEvaluationResult:
 # --------------------------------------------------------------------- #
 # Shared environment plumbing
 # --------------------------------------------------------------------- #
-_ORACLE_CACHE: Dict[Tuple[str, float, Any], SoloOracle] = {}
 _REGISTRY_CACHE: Dict[float, FunctionRegistry] = {}
 
 
@@ -180,21 +180,19 @@ def registry_for(config: ExperimentConfig) -> FunctionRegistry:
 
 
 def oracle_for(config: ExperimentConfig, *, contention_parameters=None) -> SoloOracle:
-    """A solo oracle shared by every experiment on the same machine/scale.
+    """The solo oracle for a configuration's machine and epoch length.
 
     ``contention_parameters`` selects a recalibrated model fit; the
-    default ``None`` keeps the as-shipped coefficients.  Oracles are
-    cached per fit so figures mixing nominal and recalibrated tables
-    never cross-contaminate solo baselines.
+    default ``None`` keeps the as-shipped coefficients.  The oracle holds
+    no state: its profiles are memoized under an identity that covers the
+    full machine topology and the fit, so figures mixing nominal and
+    recalibrated tables never cross-contaminate solo baselines.
     """
-    key = (config.machine.name, config.registry_scale, contention_parameters)
-    if key not in _ORACLE_CACHE:
-        _ORACLE_CACHE[key] = SoloOracle(
-            config.machine,
-            contention_parameters=contention_parameters,
-            engine_config=EngineConfig(epoch_seconds=config.epoch_seconds),
-        )
-    return _ORACLE_CACHE[key]
+    return SoloOracle(
+        config.machine,
+        contention_parameters=contention_parameters,
+        engine_config=EngineConfig(epoch_seconds=config.epoch_seconds),
+    )
 
 
 def calibration_for(
@@ -269,13 +267,13 @@ def _calibration_config_factories() -> Dict[str, Any]:
 
 
 def calibration_identity(config: ExperimentConfig) -> Tuple[object, ...]:
-    """What makes two configs share one calibration (mirrors the cache key)."""
-    return (
-        config.machine.name,
+    """What makes two configs share one calibration: its memo identity."""
+    return core_calibration.calibration_identity(
+        config.machine,
         config.calibration_scenario,
-        tuple(sorted(set(config.calibration_levels))),
-        config.epoch_seconds,
-        config.registry_scale,
+        registry=registry_for(config),
+        stress_levels=config.calibration_levels,
+        engine_config=EngineConfig(epoch_seconds=config.epoch_seconds),
     )
 
 
@@ -466,33 +464,6 @@ def run_price_evaluation(
     return PriceEvaluationResult(config_name=config.name, rows=tuple(rows))
 
 
-_PRICE_EVALUATION_CACHE: Dict[str, PriceEvaluationResult] = {}
-
-
-def _price_evaluation_to_dict(result: PriceEvaluationResult) -> Dict[str, Any]:
-    return {
-        "config_name": result.config_name,
-        "rows": [
-            {
-                "function": row.function,
-                "litmus_normalized_price": row.litmus_normalized_price,
-                "ideal_normalized_price": row.ideal_normalized_price,
-                "estimated_private_slowdown": row.estimated_private_slowdown,
-                "estimated_shared_slowdown": row.estimated_shared_slowdown,
-                "actual_private_slowdown": row.actual_private_slowdown,
-                "actual_shared_slowdown": row.actual_shared_slowdown,
-                "errors": {
-                    "function": row.errors.function,
-                    "private_error": row.errors.private_error,
-                    "shared_error": row.errors.shared_error,
-                    "total_error": row.errors.total_error,
-                },
-            }
-            for row in result.rows
-        ],
-    }
-
-
 def _price_evaluation_from_dict(payload: Mapping[str, Any]) -> PriceEvaluationResult:
     rows = tuple(
         PriceComparisonRow(
@@ -517,50 +488,32 @@ def price_evaluation_cached(
 
     Several figures present different views of the same run — e.g. Figures
     11, 12 and 13 all come from the one-function-per-core evaluation — so
-    results are cached per configuration signature within the process, and
-    persisted through the versioned on-disk cache so parallel figure
-    workers and repeated sweeps do not re-simulate the same environment.
-    The on-disk key fingerprints the complete configuration (machine
-    topology included) plus the scaled registry contents; vector-backend
-    results are keyed separately so they can never leak into the bit-exact
-    scalar figures.
+    results go through :func:`repro.diskcache.memoized`, and neither one
+    process nor parallel figure workers and repeated sweeps re-simulate
+    the same environment.  The identity is the complete configuration
+    (machine topology, seed and epoch length included) plus the scaled
+    registry contents; vector-backend results get their own identity so
+    they can never leak into the bit-exact scalar figures.
     """
-    key = (
-        f"{config.name}|{config.machine.name}|{config.registry_scale}"
-        f"|{config.repetitions}|{config.total_functions}|{config.method.value}"
-        f"|{backend}"
-    )
-    if key in _PRICE_EVALUATION_CACHE:
-        return _PRICE_EVALUATION_CACHE[key]
-
-    fingerprint_parts = [
+    identity: Tuple[object, ...] = (
         config,
         diskcache.registry_fingerprint(registry_for(config).all()),
-    ]
+    )
     if backend != "scalar":
-        fingerprint_parts.append(f"backend={backend}")
-    disk_key = diskcache.fingerprint(*fingerprint_parts)
-    payload = diskcache.load("price-eval", disk_key)
-    if payload is not None:
-        try:
-            result = _price_evaluation_from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            result = None
-        if result is not None:
-            _PRICE_EVALUATION_CACHE[key] = result
-            return result
-
-    result = run_price_evaluation(config, backend=backend)
-    _PRICE_EVALUATION_CACHE[key] = result
-    diskcache.store("price-eval", disk_key, _price_evaluation_to_dict(result))
-    return result
+        identity += (f"backend={backend}",)
+    return diskcache.memoized(
+        "price-eval",
+        identity,
+        lambda: run_price_evaluation(config, backend=backend),
+        diskcache.canonical,
+        _price_evaluation_from_dict,
+    )
 
 
 def clear_experiment_caches() -> None:
-    """Drop cached oracles, registries and evaluation results (for tests)."""
-    _ORACLE_CACHE.clear()
+    """Forget scaled registries and every memoized artefact (for tests)."""
     _REGISTRY_CACHE.clear()
-    _PRICE_EVALUATION_CACHE.clear()
+    diskcache.forget()
 
 
 def _compare_prices(

@@ -11,19 +11,19 @@ the machine to itself:
 
 On the real system the paper obtains these numbers by profiling functions in
 isolation offline.  Here the :class:`SoloOracle` simply runs the function
-alone on a private engine instance and caches the result; runs are
-deterministic, so one execution per (machine, spec) pair suffices.
+alone on a private engine instance; runs are deterministic, so one
+execution per identity suffices.
 
-Profiles are additionally persisted through the versioned on-disk cache
-(:mod:`repro.diskcache`), keyed by the machine topology, the engine
-configuration, the contention parameters and the full function spec —
-so every figure of a sweep, in any process, profiles each function once.
+Profiles are memoized in process and on disk (:func:`repro.diskcache.memoized`)
+under the machine topology, the contention parameters, the engine
+configuration and the full function spec — so every figure of a sweep, in
+any process, profiles each function once.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro import diskcache
 
@@ -81,7 +81,7 @@ class SoloProfile:
 
 
 class SoloOracle:
-    """Runs functions alone on the machine and caches their measurements."""
+    """Runs functions alone on the machine; their measurements are memoized."""
 
     def __init__(
         self,
@@ -89,13 +89,10 @@ class SoloOracle:
         *,
         contention_parameters: Optional[ContentionParameters] = None,
         engine_config: Optional[EngineConfig] = None,
-        use_disk_cache: bool = True,
     ) -> None:
         self._machine = machine
         self._contention_parameters = contention_parameters
         self._engine_config = engine_config or EngineConfig()
-        self._use_disk_cache = use_disk_cache
-        self._cache: Dict[Tuple[str, float], SoloProfile] = {}
 
     @property
     def machine(self) -> MachineSpec:
@@ -106,52 +103,25 @@ class SoloOracle:
         """The contention coefficients the oracle profiles under (None = defaults)."""
         return self._contention_parameters
 
-    @staticmethod
-    def _key(spec: FunctionSpec) -> Tuple[str, float]:
-        # Keyed on the instruction count as well so differently scaled copies
-        # of the same benchmark never collide in the cache.
-        return (spec.abbreviation, spec.total_instructions)
-
-    def _disk_key(self, spec: FunctionSpec) -> str:
+    def profile(self, spec: FunctionSpec) -> SoloProfile:
+        """Return (possibly memoized) solo measurements for ``spec``."""
         # The fast path changes no output bit, so it is deliberately left
-        # out of the key: profiles computed with it on and off are
+        # out of the identity: profiles computed with it on and off are
         # interchangeable.
-        return diskcache.fingerprint(
+        identity = (
             self._machine,
             self._contention_parameters,
             self._engine_config.epoch_seconds,
             self._engine_config.fixed_point_iterations,
             spec,
         )
-
-    def profile(self, spec: FunctionSpec) -> SoloProfile:
-        """Return (possibly cached) solo measurements for ``spec``."""
-        key = self._key(spec)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        disk_key = self._disk_key(spec) if self._use_disk_cache else None
-        if disk_key is not None:
-            payload = diskcache.load("solo", disk_key)
-            if payload is not None:
-                try:
-                    profile = SoloProfile.from_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    profile = None  # schema drift / corruption: recompute
-                if profile is not None:
-                    self._cache[key] = profile
-                    return profile
-        profile = self._run_solo(spec)
-        self._cache[key] = profile
-        if disk_key is not None:
-            diskcache.store("solo", disk_key, profile.to_dict())
-        return profile
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def __contains__(self, abbreviation: str) -> bool:
-        return any(key[0] == abbreviation for key in self._cache)
+        return diskcache.memoized(
+            "solo",
+            identity,
+            lambda: self._run_solo(spec),
+            SoloProfile.to_dict,
+            SoloProfile.from_dict,
+        )
 
     def _run_solo(self, spec: FunctionSpec) -> SoloProfile:
         if spec.is_traffic_generator:

@@ -248,15 +248,22 @@ def test_event_render_lines_are_informative():
     assert "1/9" in candidate.render_line()
 
 
-def test_oracle_cache_keys_on_contention_parameters():
+def test_oracle_cache_keys_on_contention_parameters(monkeypatch):
+    """The same fit reuses its solo profile without re-simulating; a refit
+    gets its own."""
     from repro.experiments.config import one_per_core
-    from repro.experiments.harness import oracle_for
+    from repro.experiments.harness import oracle_for, registry_for
     from repro.hardware.contention import ContentionParameters
+    from repro.platform.oracle import SoloOracle
 
     config = one_per_core()
-    nominal = oracle_for(config)
-    assert oracle_for(config) is nominal
+    spec = registry_for(config).test_functions()[0]
     refit = ContentionParameters(memory_queueing_coefficient=0.875)
-    recalibrated = oracle_for(config, contention_parameters=refit)
-    assert recalibrated is not nominal
-    assert oracle_for(config, contention_parameters=refit) is recalibrated
+    nominal = oracle_for(config).profile(spec)
+    recalibrated = oracle_for(config, contention_parameters=refit).profile(spec)
+    monkeypatch.setattr(
+        SoloOracle, "_run_solo", lambda self, spec: pytest.fail("re-simulated a profile")
+    )
+    assert oracle_for(config).profile(spec) is nominal
+    assert oracle_for(config, contention_parameters=refit).profile(spec) is recalibrated
+    assert recalibrated != nominal

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.calibration import CalibrationScenario, calibrate_cached, clear_calibration_cache
+from repro import diskcache
+from repro.core.calibration import CalibrationScenario, calibrate_cached
 from repro.core.litmus_test import LitmusObservation
 from repro.workloads.runtimes import Language
 from repro.workloads.traffic import GeneratorKind
@@ -90,7 +91,7 @@ class TestCalibrationResult:
 
 class TestCalibrationCache:
     def test_cache_reuses_results(self, machine, small_registry, small_oracle):
-        clear_calibration_cache()
+        diskcache.forget()
         first = calibrate_cached(
             machine,
             CalibrationScenario.dedicated(),
@@ -106,7 +107,7 @@ class TestCalibrationCache:
             oracle=small_oracle,
         )
         assert first is second
-        clear_calibration_cache()
+        diskcache.forget()
 
 
 class TestCongestionEstimator:

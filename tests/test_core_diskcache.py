@@ -1,14 +1,23 @@
 """The versioned on-disk cache: hits, misses, version invalidation, wiring."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import diskcache
 from repro.core.calibration import (
     CalibrationScenario,
+    Calibrator,
     calibrate_cached,
-    clear_calibration_cache,
+)
+from repro.core.persistence import calibration_to_dict
+from repro.experiments.config import one_per_core
+from repro.experiments.harness import (
+    clear_experiment_caches,
+    oracle_for,
+    price_evaluation_cached,
+    registry_for,
 )
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.oracle import SoloOracle, SoloProfile
@@ -19,6 +28,8 @@ from repro.workloads.registry import default_registry
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+    # A fresh disk layer starts with a fresh in-process layer too.
+    diskcache.forget()
     return tmp_path
 
 
@@ -120,19 +131,13 @@ class TestSoloProfileDiskCache:
         profile = first.profile(spec)
         assert len(list(cache_dir.glob("solo-*.json"))) == 1
 
-        # A fresh oracle (empty in-memory cache) must load from disk and get
-        # bit-identical measurements.
+        # With the in-process layer forgotten, a fresh oracle must load from
+        # disk and get bit-identical measurements.
+        diskcache.forget()
         second = SoloOracle(machine)
         loaded = second.profile(spec)
         assert loaded.execution == profile.execution
         assert loaded.startup == profile.startup
-
-    def test_disk_cache_can_be_disabled_per_oracle(self, cache_dir):
-        machine = CASCADE_LAKE_5218
-        spec = default_registry().scaled(0.1).get("auth-py")
-        oracle = SoloOracle(machine, use_disk_cache=False)
-        oracle.profile(spec)
-        assert not list(cache_dir.glob("solo-*.json"))
 
     def test_dict_round_trip(self, cache_dir):
         machine = CASCADE_LAKE_5218
@@ -152,13 +157,13 @@ class TestCalibrationDiskCache:
     def test_second_process_equivalent_hit(self, cache_dir, small_args):
         machine = CASCADE_LAKE_5218
         scenario = CalibrationScenario.dedicated(2)
-        clear_calibration_cache()
+        diskcache.forget()
         first = calibrate_cached(machine, scenario, **small_args)
         assert len(list(cache_dir.glob("calibration-*.json"))) == 1
 
-        # Clearing the in-memory layer simulates a fresh worker process: the
-        # result must come back from disk with identical table contents.
-        clear_calibration_cache()
+        # Forgetting the in-process layer simulates a fresh worker process:
+        # the result must come back from disk with identical table contents.
+        diskcache.forget()
         second = calibrate_cached(machine, scenario, **small_args)
         assert second.congestion_table.rows() == first.congestion_table.rows()
         assert second.performance_table.rows() == first.performance_table.rows()
@@ -169,14 +174,14 @@ class TestCalibrationDiskCache:
     def test_version_bump_recomputes(self, cache_dir, small_args, monkeypatch):
         machine = CASCADE_LAKE_5218
         scenario = CalibrationScenario.dedicated(2)
-        clear_calibration_cache()
+        diskcache.forget()
         calibrate_cached(machine, scenario, **small_args)
         entry = next(cache_dir.glob("calibration-*.json"))
         document = json.loads(entry.read_text())
         document["cache_version"] = diskcache.CACHE_VERSION + 1
         entry.write_text(json.dumps(document))
 
-        clear_calibration_cache()
+        diskcache.forget()
         calls = {"n": 0}
         from repro.core import calibration as calibration_module
 
@@ -193,9 +198,9 @@ class TestCalibrationDiskCache:
     def test_different_registry_different_entry(self, cache_dir, small_args):
         machine = CASCADE_LAKE_5218
         scenario = CalibrationScenario.dedicated(2)
-        clear_calibration_cache()
+        diskcache.forget()
         calibrate_cached(machine, scenario, **small_args)
-        clear_calibration_cache()
+        diskcache.forget()
         calibrate_cached(
             machine,
             scenario,
@@ -203,3 +208,120 @@ class TestCalibrationDiskCache:
             stress_levels=(2,),
         )
         assert len(list(cache_dir.glob("calibration-*.json"))) == 2
+
+    def test_damaged_entry_is_recomputed_and_rewritten(self, cache_dir, small_args):
+        machine = CASCADE_LAKE_5218
+        scenario = CalibrationScenario.dedicated(2)
+        first = calibrate_cached(machine, scenario, **small_args)
+        entry = next(cache_dir.glob("calibration-*.json"))
+        intact = entry.read_text()
+        document = json.loads(intact)
+        document["payload"]["reference_baselines"] = []
+        entry.write_text(json.dumps(document))
+
+        diskcache.forget()
+        again = calibrate_cached(machine, scenario, **small_args)
+        assert calibration_to_dict(again) == calibration_to_dict(first)
+        assert entry.read_text() == intact
+
+
+class TestMemoized:
+    IDENTITY = ("widget", 1.5, CASCADE_LAKE_5218)
+
+    def memo(self, compute):
+        return diskcache.memoized(
+            "thing",
+            self.IDENTITY,
+            compute,
+            lambda value: {"value": value},
+            lambda payload: payload["value"],
+        )
+
+    def entry(self, cache_dir):
+        return cache_dir / f"thing-{diskcache.fingerprint(*self.IDENTITY)}.json"
+
+    def test_in_process_hit_reads_no_disk(self, cache_dir, monkeypatch):
+        assert self.memo(lambda: 7) == 7
+        assert self.entry(cache_dir).exists()
+        monkeypatch.setattr(diskcache, "load", lambda *args: pytest.fail("read the disk"))
+        assert self.memo(lambda: pytest.fail("recomputed an in-process hit")) == 7
+
+    def test_disk_hit_after_forget(self, cache_dir):
+        self.memo(lambda: 7)
+        diskcache.forget()
+        assert self.memo(lambda: pytest.fail("recomputed a disk hit")) == 7
+
+    def test_undecodable_entry_is_recomputed_and_rewritten_once(
+        self, cache_dir, monkeypatch
+    ):
+        key = diskcache.fingerprint(*self.IDENTITY)
+        diskcache.store("thing", key, {"stale": "layout"})
+        stores = []
+        store = diskcache.store
+        monkeypatch.setattr(
+            diskcache, "store", lambda *args: stores.append(args) or store(*args)
+        )
+        computed = []
+        assert self.memo(lambda: computed.append(1) or 7) == 7
+        assert stores == [("thing", key, {"value": 7})]
+        assert diskcache.load("thing", key) == {"value": 7}
+        diskcache.forget()
+        assert self.memo(lambda: computed.append(1) or 8) == 7
+        assert len(computed) == 1 and len(stores) == 1
+
+    def test_disabled_disk_layer_writes_nothing(self, cache_dir, monkeypatch):
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        assert self.memo(lambda: 7) == 7
+        assert not list(cache_dir.iterdir())
+        assert self.memo(lambda: pytest.fail("recomputed an in-process hit")) == 7
+        diskcache.forget()
+        assert self.memo(lambda: 8) == 8
+
+    def test_kinds_do_not_share_an_identity(self, cache_dir):
+        self.memo(lambda: 7)
+        other = diskcache.memoized(
+            "other", self.IDENTITY, lambda: 9, lambda v: {"v": v}, lambda p: p["v"]
+        )
+        assert other == 9 and self.memo(lambda: 8) == 7
+
+
+class TestIdentitiesKeepArtefactsApart:
+    """Equal in-process identities must mean equal artefacts: each case
+    below used to return another artefact's numbers within one process."""
+
+    def test_price_evaluations_keep_seeds_apart(self):
+        later_seed = one_per_core(seed=2025).quick()
+        clear_experiment_caches()
+        expected = price_evaluation_cached(later_seed)
+        clear_experiment_caches()
+        first = price_evaluation_cached(one_per_core().quick())
+        again = price_evaluation_cached(later_seed)
+        assert again == expected
+        assert again.gmean_litmus_price != first.gmean_litmus_price
+
+    def test_calibrations_keep_same_named_scenarios_apart(self):
+        machine = CASCADE_LAKE_5218
+        registry = default_registry().scaled(0.1)
+        shared = CalibrationScenario.shared(2, 2)
+        quiet = replace(shared, background_functions=0)
+        assert quiet.name == shared.name
+        expected = Calibrator(machine, registry, quiet, stress_levels=(2,)).calibrate()
+        busy = calibrate_cached(machine, shared, registry=registry, stress_levels=(2,))
+        cached = calibrate_cached(machine, quiet, registry=registry, stress_levels=(2,))
+        assert calibration_to_dict(cached) == calibration_to_dict(expected)
+        assert calibration_to_dict(cached) != calibration_to_dict(busy)
+
+    def test_solo_profiles_keep_same_named_machines_apart(self):
+        config = one_per_core()
+        machine = config.machine
+        slower = replace(
+            config, machine=replace(machine, memory_latency_ns=2 * machine.memory_latency_ns)
+        )
+        assert slower.machine.name == machine.name
+        spec = registry_for(config).test_functions()[0]
+        clear_experiment_caches()
+        expected = oracle_for(slower).profile(spec)
+        clear_experiment_caches()
+        nominal = oracle_for(config).profile(spec)
+        assert oracle_for(slower).profile(spec) == expected
+        assert expected.t_total_seconds != nominal.t_total_seconds

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.calibration import Calibrator, clear_calibration_cache
+from repro.core.calibration import Calibrator
 from repro.experiments import harness
 from repro.experiments.config import PricingMethod, sharing_160, unfixed_frequency_160
 from repro.experiments.harness import (
@@ -33,18 +33,16 @@ def test_full_sweep_warms_exactly_four_distinct_calibrations(monkeypatch):
     )
     count = warm_shared_calibrations(list(FIGURE_MODULES))
     assert count == len(warmed) == 4
-    identities = {calibration_identity(config) for config in warmed}
-    assert len(identities) == 4
+    assert len({calibration_identity(config) for config in warmed}) == 4
     # The four: dedicated/Cascade, shared/Cascade, shared/IceLake, smt/Cascade.
-    assert {identity[0] for identity in identities} == {
-        "xeon-gold-5218",
-        "xeon-silver-4314",
-    }
-    assert {identity[1].name for identity in identities} == {
-        "dedicated-14",
-        "shared-5x10",
-        "smt-5x5",
-    }
+    assert sorted(
+        (config.machine.name, config.calibration_scenario.name) for config in warmed
+    ) == [
+        ("xeon-gold-5218", "dedicated-14"),
+        ("xeon-gold-5218", "shared-5x10"),
+        ("xeon-gold-5218", "smt-5x5"),
+        ("xeon-silver-4314", "shared-5x10"),
+    ]
 
 
 def test_calibration_free_figures_warm_nothing(monkeypatch):
@@ -76,7 +74,6 @@ def test_warmed_calibration_is_reused_from_disk_by_cold_workers(
     reference = calibration_for(quick_config)  # parent warms (and persists)
 
     # Simulate a fresh worker process: in-process caches empty...
-    clear_calibration_cache()
     clear_experiment_caches()
     # ...and any attempt to actually calibrate is an error.
     monkeypatch.setattr(

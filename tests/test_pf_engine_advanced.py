@@ -74,7 +74,8 @@ class TestHarnessCaches:
     def test_registry_and_oracle_are_shared_per_scale(self):
         config = one_per_core()
         assert registry_for(config) is registry_for(config)
-        assert oracle_for(config) is oracle_for(config)
+        spec = registry_for(config).test_functions()[0]
+        assert oracle_for(config).profile(spec) is oracle_for(config).profile(spec)
 
     def test_figure_result_render_contains_columns_and_summary(self):
         result = FigureResult(
