@@ -522,5 +522,11 @@ def calibrate_cached(
         ).calibrate()
 
     return diskcache.memoized(
-        "calibration", identity, calibrate, calibration_to_dict, calibration_from_dict
+        "calibration",
+        identity,
+        calibrate,
+        calibration_to_dict,
+        # The identity binds the whole spec, so the entry's machine is
+        # ``machine`` itself, whether or not the machine table knows it.
+        lambda payload: calibration_from_dict(payload, machine),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.calibration import CalibrationResult, CalibrationScenario
 from repro.core.litmus_test import StartupBaseline
@@ -26,7 +26,7 @@ from repro.core.tables import (
     PerformanceObservation,
     PerformanceTable,
 )
-from repro.hardware.topology import machine_by_name
+from repro.hardware.topology import MachineSpec, machine_by_name
 from repro.platform.oracle import SoloProfile
 from repro.workloads.runtimes import Language
 from repro.workloads.traffic import GeneratorKind
@@ -88,13 +88,29 @@ def calibration_to_dict(result: CalibrationResult) -> Dict[str, object]:
 # --------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------- #
-def calibration_from_dict(payload: Mapping[str, object]) -> CalibrationResult:
-    """Rebuild a calibration result from :func:`calibration_to_dict` output."""
+def calibration_from_dict(
+    payload: Mapping[str, object], machine: Optional[MachineSpec] = None
+) -> CalibrationResult:
+    """Rebuild a calibration result from :func:`calibration_to_dict` output.
+
+    The payload names its machine; without ``machine`` the name is looked
+    up in the machine table.  A caller that knows the spec the result was
+    computed on (the calibration cache, whose key binds the whole spec)
+    passes it, so a machine outside the table or a same-named variant comes
+    back as itself; a payload naming another machine raises ``ValueError``.
+    """
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported calibration format version {version!r}; "
             f"this library reads version {FORMAT_VERSION}"
+        )
+    if machine is None:
+        machine = machine_by_name(payload["machine"])
+    elif payload["machine"] != machine.name:
+        raise ValueError(
+            f"calibration payload is for machine {payload['machine']!r}, "
+            f"not {machine.name!r}"
         )
     scenario_payload = payload["scenario"]
     scenario = CalibrationScenario(
@@ -152,7 +168,7 @@ def calibration_from_dict(payload: Mapping[str, object]) -> CalibrationResult:
         }
 
     return CalibrationResult(
-        machine=machine_by_name(payload["machine"]),
+        machine=machine,
         scenario=scenario,
         stress_levels=tuple(int(level) for level in payload["stress_levels"]),
         generators=tuple(GeneratorKind(value) for value in payload["generators"]),

@@ -23,7 +23,7 @@ congestion with the shapes the paper reports (``T_shared`` highly sensitive,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.hardware.cache import CacheDemand, SharedCacheModel
 from repro.hardware.memory import MemoryBandwidthModel, MemoryLoad
@@ -163,6 +163,52 @@ class ContentionResult:
         )
 
 
+class ContentionPlan:
+    """Everything :meth:`ContentionModel.evaluate_tuples` reads but the rates.
+
+    Built by :meth:`ContentionModel.plan` from each entry's workload id,
+    cache footprint and solo hit fraction, plus the lane-to-entry map.  An
+    entry stands for one or more workloads (*lanes*) with equal demands;
+    without twins each entry is one lane.  The plan stays valid while the
+    entries' footprints, solo hit fractions and the lane map do, so the
+    simulation engine builds one per runnable set and phase and evaluates
+    it once per fixed-point iteration.  Treat it as read-only.
+    """
+
+    __slots__ = (
+        "lanes",
+        "workload_ids",
+        "needs",
+        "footprint",
+        "footprint_lanes",
+        "solo_hits",
+    )
+
+    def __init__(
+        self,
+        lanes: Tuple[int, ...],
+        workload_ids: Tuple[int, ...],
+        needs: Tuple[float, ...],
+        footprint: Tuple[int, ...],
+        footprint_lanes: Optional[Tuple[int, ...]],
+        solo_hits: Tuple[float, ...],
+    ) -> None:
+        #: For each lane, in workload order, the position of its entry.
+        self.lanes = lanes
+        #: The lanes' workload ids, in workload order.
+        self.workload_ids = workload_ids
+        #: Per entry: its footprint capped at the cache capacity.
+        self.needs = needs
+        #: The positions of the entries with a footprint, in entry order.
+        self.footprint = footprint
+        #: The lanes of ``footprint``'s entries, in workload order; ``None``
+        #: when every lane's entry has a footprint.
+        self.footprint_lanes = footprint_lanes
+        #: Per entry: the fraction of its L3 lookups that hit when it runs
+        #: alone.
+        self.solo_hits = solo_hits
+
+
 class ContentionModel:
     """Combines the cache, uncore and memory models for one sharing domain."""
 
@@ -263,137 +309,147 @@ class ContentionModel:
             )
         return penalties
 
-    def evaluate_tuples(
+    def plan(
         self,
         entries: Sequence[tuple],
         classes: Sequence[int] | None = None,
         workload_ids: Sequence[int] | None = None,
+    ) -> ContentionPlan:
+        """The static half of an :meth:`evaluate_tuples` call.
+
+        ``entries`` is a sequence of ``(workload_id, working_set_mb,
+        solo_l3_hit_fraction)`` tuples.  Workloads with equal demands can
+        share one entry: ``classes`` then gives, in workload order, the
+        position of each workload's entry and ``workload_ids`` the
+        workloads' ids.  Without ``classes`` each entry is one workload.
+        """
+        capacity_mb = self._cache.capacity_mb
+        if classes is None:
+            lanes = tuple(range(len(entries)))
+            workload_ids = [entry[0] for entry in entries]
+        else:
+            lanes = tuple(classes)
+        footprint = tuple(
+            [position for position, entry in enumerate(entries) if entry[1] > 0]
+        )
+        footprint_lanes = None
+        if len(footprint) < len(entries):
+            with_footprint = set(footprint)
+            footprint_lanes = tuple(
+                [position for position in lanes if position in with_footprint]
+            )
+        return ContentionPlan(
+            lanes,
+            tuple(workload_ids),
+            # min(working_set, capacity), as the builtin resolves it.
+            tuple(
+                [capacity_mb if capacity_mb < entry[1] else entry[1] for entry in entries]
+            ),
+            footprint,
+            footprint_lanes,
+            tuple([entry[2] for entry in entries]),
+        )
+
+    def evaluate_tuples(
+        self, rates: Sequence[float], plan: ContentionPlan
     ) -> ContentionResult:
         """Exact, allocation-light replica of :meth:`evaluate`.
 
-        ``entries`` is a sequence of ``(workload_id, l2_miss_rate,
-        working_set_mb, solo_l3_hit_fraction, mlp)`` tuples.  The simulation
-        engine's fast path sits in a tight per-epoch loop where building one
-        :class:`WorkloadDemand`, one :class:`CacheDemand` and one
-        :class:`SharedResourcePenalty` per workload per fixed-point iteration
-        dominates.  This method performs the identical arithmetic — same
-        operations, same order, bit-identical results (asserted by the
-        fast-path property tests) — on plain tuples and lists indexed by
-        position, and returns one :class:`ContentionResult`: the per-workload
-        hit fractions plus the five values every workload shares.
-        Behavioural changes must be made to :meth:`evaluate` (the reference
-        implementation) and mirrored here.  ``min``/``max`` are written as
-        the comparisons that return exactly what the builtins return.
+        ``rates`` holds one L2-miss rate per entry of ``plan``
+        (:meth:`plan`), which holds everything else a demand carries, so
+        the simulation engine's fast path, which evaluates the same plan
+        many times with new rates, builds only the rates per fixed-point
+        iteration.  The result is what :meth:`evaluate` returns for the
+        plan's workloads, in workload order, each with its entry's demand:
+        one :class:`ContentionResult`, the per-workload hit fractions plus
+        the five values every workload shares.  The arithmetic is the
+        reference's — same operations, same order, the same reduction
+        primitives (``sum()`` where it sums, a ``+=`` loop where it loops),
+        bit-identical results (asserted by the fast-path property tests) —
+        on lists indexed by entry position.  Behavioural changes must be
+        made to :meth:`evaluate` (the reference implementation) and
+        mirrored here.  ``min``/``max`` are written as the comparisons that
+        return exactly what the builtins return.
 
-        Workloads with equal demands can share one entry.  ``classes`` then
-        gives, in workload order, the position of each workload's entry and
-        ``workload_ids`` the workloads' ids, and the result is what
-        :meth:`evaluate` returns for the expanded demands in that order.
         The water-fill gives equal demands equal shares, caps and hit
         fractions, so those are computed once per entry; every sum still
-        adds one term per workload, in workload order.  Without ``classes``
-        each entry is one workload.
+        adds one term per workload, in workload order.
         """
-        capacity_mb = self._cache.capacity_mb
-        utility_exponent = self._cache.utility_exponent
-        rates = [entry[1] for entry in entries]
-        hits = [entry[3] for entry in entries]  # inactive workloads keep solo
+        lanes = plan.lanes
+        needs = plan.needs
+        lane_rates = [rates[position] for position in lanes]
+        total_l3_lookups = sum(lane_rates)
+        hits = list(plan.solo_hits)  # inactive workloads keep solo
 
         # --- SharedCacheModel.allocate, fused -------------------------- #
-        # _water_fill on the active workloads, by entry position.  Shares
-        # are computed once per pass (the reference implementation
-        # recomputes the identical expression in its second loop, so
-        # reusing the value is exact), and each workload's capped need —
-        # ``min(working_set, capacity)`` of the same two floats everywhere
-        # — once up front.  ``pending`` holds the active entries still
-        # being filled and ``remaining`` their workloads in workload order:
-        # the same list unless entries are shared.
-        active = [
-            position
-            for position, entry in enumerate(entries)
-            if entry[1] > 0 and entry[2] > 0
-        ]
-        needs = [
-            capacity_mb if capacity_mb < entry[2] else entry[2] for entry in entries
-        ]
-        allocations = [0.0] * len(entries)
-        pending = remaining = active
-        if classes is not None:
-            active_entries = set(active)
-            remaining = [position for position in classes if position in active_entries]
-        remaining_capacity = capacity_mb
-        for _ in range(len(active) + 1):
-            if not remaining or remaining_capacity <= 1e-12:
-                break
-            total_rate = sum([rates[position] for position in remaining])
-            if total_rate <= 0:
-                break
-            shares = [
-                remaining_capacity * rates[position] / total_rate
-                for position in pending
-            ]
-            uncapped: list[int] = []
-            capped: list[int] = []
-            for position, share in zip(pending, shares):
-                if share >= needs[position] - allocations[position]:
-                    capped.append(position)
-                else:
-                    uncapped.append(position)
-            if not capped:
-                for position, share in zip(pending, shares):
-                    allocations[position] += share
-                remaining_capacity = 0.0
-                break
-            if classes is None:
-                for position in capped:
-                    need = needs[position]
-                    grant = need - allocations[position]
-                    allocations[position] = need
-                    remaining_capacity -= grant
-                remaining = uncapped
+        # _water_fill on the active entries: those with a footprint and a
+        # positive rate.  ``pending`` holds the active entries still being
+        # filled, in entry order.  A pass's total adds the rate of every
+        # workload still being filled, in workload order; zero rates add
+        # nothing, so the first pass's total is the total L3 lookups when
+        # every workload has a footprint.  Shares are computed where they
+        # are used (the reference implementation computes the identical
+        # expression in both of its loops, so recomputing it is exact).
+        pending = active = [position for position in plan.footprint if rates[position] > 0]
+        if active:
+            footprint_lanes = plan.footprint_lanes
+            if footprint_lanes is None:
+                total_rate = total_l3_lookups
             else:
-                # Every workload of a capped entry is granted the same,
-                # subtracted once per workload in workload order.
-                grants = {
-                    position: needs[position] - allocations[position]
-                    for position in capped
+                total_rate = sum([rates[position] for position in footprint_lanes])
+            allocations = [0.0] * len(hits)
+            remaining_capacity = self._cache.capacity_mb
+            for _ in range(len(active) + 1):
+                if remaining_capacity <= 1e-12 or total_rate <= 0:
+                    break
+                capped = {
+                    position
+                    for position in pending
+                    if remaining_capacity * rates[position] / total_rate
+                    >= needs[position] - allocations[position]
                 }
-                for position in remaining:
-                    if position in grants:
-                        remaining_capacity -= grants[position]
+                if not capped:
+                    for position in pending:
+                        allocations[position] += (
+                            remaining_capacity * rates[position] / total_rate
+                        )
+                    break
+                # Every workload of a capped entry is granted the same,
+                # subtracted once per workload in workload order; only
+                # workloads still being filled have a capped entry.
+                for position in lanes:
+                    if position in capped:
+                        remaining_capacity -= needs[position] - allocations[position]
                 for position in capped:
                     allocations[position] = needs[position]
-                remaining = [position for position in remaining if position not in grants]
-            pending = uncapped
+                pending = [position for position in pending if position not in capped]
+                if not pending:
+                    break
+                filling = set(pending)
+                total_rate = sum(
+                    [rates[position] for position in lanes if position in filling]
+                )
 
-        for position in active:
-            need_mb = needs[position]
-            if need_mb <= 0:
-                continue
-            coverage = allocations[position] / need_mb
-            if 0.0 > coverage:
-                coverage = 0.0
-            if 1.0 < coverage:
-                coverage = 1.0
-            hits[position] = hits[position] * coverage**utility_exponent
+            utility_exponent = self._cache.utility_exponent
+            for position in active:
+                # An active entry has a footprint, so its need is positive.
+                coverage = allocations[position] / needs[position]
+                if 0.0 > coverage:
+                    coverage = 0.0
+                if 1.0 < coverage:
+                    coverage = 1.0
+                hits[position] = hits[position] * coverage**utility_exponent
 
         # --- aggregate loads ------------------------------------------- #
         line_size = self._machine.line_size_bytes
+        dram_bytes = [
+            rate * (1.0 - hit_fraction) * line_size
+            for rate, hit_fraction in zip(rates, hits)
+        ]
         total_dram_bytes = 0.0
-        if classes is None:
-            total_l3_lookups = sum(rates)
-            for rate, hit_fraction in zip(rates, hits):
-                total_dram_bytes += rate * (1.0 - hit_fraction) * line_size
-            hit_fractions = dict(zip([entry[0] for entry in entries], hits))
-        else:
-            total_l3_lookups = sum([rates[position] for position in classes])
-            dram_bytes = [
-                rate * (1.0 - hit_fraction) * line_size
-                for rate, hit_fraction in zip(rates, hits)
-            ]
-            for position in classes:
-                total_dram_bytes += dram_bytes[position]
-            hit_fractions = dict(zip(workload_ids, [hits[position] for position in classes]))
+        for position in lanes:
+            total_dram_bytes += dram_bytes[position]
+        lane_hits = [hits[position] for position in lanes]
 
         ring = self._ring
         memory = self._memory
@@ -405,7 +461,7 @@ class ContentionModel:
             else ring_utilization
         )
         return ContentionResult(
-            hit_fractions,
+            dict(zip(plan.workload_ids, lane_hits)),
             ring.latency_at(ring_utilization),
             memory.latency_at(bandwidth_utilization),
             ring_utilization,

@@ -1024,9 +1024,16 @@ class VectorDrive:
     # ------------------------------------------------------------------ #
     # Results and pickling
     # ------------------------------------------------------------------ #
-    def billing(self) -> List[Optional[TenantBilling]]:
-        """Each scenario's billing so far, or None where it is unmetered."""
-        return [None if ledger is None else ledger.freeze() for ledger in self._ledgers]
+    def take_billing_updates(self) -> List[Tuple[int, str, float, float]]:
+        """``(scenario index, function, true total, billed total)`` for each
+        tenant billed since the previous call, in scenario order and then
+        function order; the totals are the ledgers' running totals."""
+        return [
+            (s, function, true_total, billed_total)
+            for s, ledger in enumerate(self._ledgers)
+            if ledger is not None
+            for function, true_total, billed_total in ledger.take_touched()
+        ]
 
     def results(self) -> List[ScenarioResult]:
         """Per-scenario results so far (final once :attr:`finished`)."""

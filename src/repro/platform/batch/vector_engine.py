@@ -77,6 +77,19 @@ from repro.workloads.function import FunctionSpec
 _INTO, _RETIRED, _HIT, _HIT_LATENCY, _MEM_LATENCY, _INFLATION, _CTR = range(7)
 _OCC_WEIGHTED, _OCC_WEIGHT, _TOTAL, _PROBE_END = range(_CTR + 7, _CTR + 11)
 
+#: The per-invocation arrays, one column per invocation (last axis).
+_COLUMN_ARRAYS = (
+    "spec_idx",
+    "machine_of",
+    "gthread",
+    "active",
+    "phase_column",
+    "end_column",
+    "_state",
+    "submit_time",
+    "finish_time",
+)
+
 #: Listener called when an invocation completes.  Receives the materialized
 #: :class:`Invocation` handle (or the bare invocation index when the engine
 #: was built with ``materialize_handles=False``) and the engine.
@@ -482,6 +495,12 @@ class VectorEngine:
         # re-attaching its listeners after restore (see ``repro.serve``).
         state = self.__dict__.copy()
         state["_finish_listeners"] = []
+        # Only the columns ever used hold state; the columns past them are
+        # zeros that ``_grow`` makes again when a submission needs them.
+        width = max(self._count, 1)
+        for name in _COLUMN_ARRAYS:
+            state[name] = state[name][..., :width]
+        state["_capacity"] = width
         return state
 
     # ------------------------------------------------------------------ #
@@ -493,17 +512,7 @@ class VectorEngine:
             fresh[..., : array.shape[-1]] = array
             return fresh
 
-        for name in (
-            "spec_idx",
-            "machine_of",
-            "gthread",
-            "active",
-            "phase_column",
-            "end_column",
-            "_state",
-            "submit_time",
-            "finish_time",
-        ):
+        for name in _COLUMN_ARRAYS:
             setattr(self, name, extend(getattr(self, name)))
         self._capacity = capacity
 

@@ -68,6 +68,11 @@ operations as the reference code:
   first lane's result.  Every machine-wide sum still adds one term per
   lane, in runnable order.
 
+* **Contention plans** — the fixed point's inputs other than the
+  remaining instructions and the warm start, with the contention model's
+  :class:`ContentionPlan`, are built once per runnable set and phase; an
+  iteration computes one miss rate per row and evaluates the plan.
+
 The fast path can be disabled with ``EngineConfig(fast_path=False)``: that
 reference path collects the runnable set every epoch, derives each profile
 from the phase index and evaluates the contention model through
@@ -87,6 +92,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.contention import (
+    ContentionPlan,
     ContentionResult,
     SharedResourcePenalty,
     WorkloadDemand,
@@ -97,7 +103,8 @@ from repro.platform.invoker import Invocation, InvocationState
 from repro.platform.sandbox import Sandbox
 from repro.platform.scheduler import Scheduler, SwitchingOverheadModel
 from repro.platform.twins import TwinClasses, twin_classes
-from repro.workloads.function import FunctionSpec
+from repro.workloads.function import FunctionSpec, PhaseCursor
+from repro.workloads.phases import ResourceProfile
 
 FinishListener = Callable[[Invocation, "SimulationEngine"], None]
 
@@ -254,6 +261,31 @@ class _SpanInvocationState:
         self.occupancy = occupancy
 
 
+class _FixedPointInputs:
+    """The fast fixed point's inputs for one runnable set, frequency, phase
+    of each row and contention model."""
+
+    __slots__ = ("frequency_hz", "cursors", "profiles", "rows", "plan")
+
+    def __init__(
+        self,
+        frequency_hz: float,
+        cursors: List[PhaseCursor],
+        profiles: List[ResourceProfile],
+        rows: List[tuple],
+        plan: ContentionPlan,
+    ) -> None:
+        self.frequency_hz = frequency_hz
+        #: The cursors of the rows' lanes, and the profile each stood in.
+        self.cursors = cursors
+        self.profiles = profiles
+        #: One row per lane (per twin class) with a profile: workload id, L2
+        #: MPKI, L2 misses per instruction, MLP, base CPI, private
+        #: multiplier, cycle budget and the solo stall per instruction.
+        self.rows = rows
+        self.plan = plan
+
+
 class SimulationEngine:
     """Advances all active invocations under the contention model."""
 
@@ -289,6 +321,9 @@ class SimulationEngine:
         self._runnable_set: Optional[
             Tuple[Runnable, int, Dict[int, float], Optional[TwinClasses]]
         ] = None
+        # The fast fixed point's per-phase inputs; ``None`` means the next
+        # stepped epoch builds them.
+        self._fixed_point_inputs: Optional[_FixedPointInputs] = None
         self._span_ready = False
         self._last_frequency_hz = 0.0
         # Fault-injection hook: multiplies the governed frequency.  1.0 is
@@ -395,6 +430,7 @@ class SimulationEngine:
         self._cpu.set_contention_parameters(parameters)
         self._span_ready = False
         self._signature_cache.invalidate()
+        self._fixed_point_inputs = None
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -464,6 +500,7 @@ class SimulationEngine:
                         runnable, multipliers, self._warm_start.hit_fractions
                     )
                 self._runnable_set = (runnable, busy_threads, multipliers, twins)
+                self._fixed_point_inputs = None
         if not runnable:
             self._cpu.global_counters.observe(elapsed_seconds=dt)
             self._time = now
@@ -961,49 +998,38 @@ class SimulationEngine:
     ) -> Tuple[ContentionResult, bool]:
         """Bit-identical replica of :meth:`_fixed_point` with hoisted state.
 
-        Per-invocation values that cannot change across iterations (profile
-        fields, cycle budget, remaining instructions, multiplier) are read
-        once per epoch instead of once per iteration, and the contention
-        model is driven through :meth:`ContentionModel.evaluate_tuples`
-        instead of per-iteration ``WorkloadDemand`` construction; the
-        penalties are one :class:`ContentionResult`, and
-        :meth:`ContentionResult.reproduces` decides exact convergence.
-        With twin classes, one demand row per class is built and the
-        contention model expands it to every lane of the class.  Every
-        arithmetic expression keeps the reference implementation's operand
-        order.  Behavioural changes go into :meth:`_fixed_point` first.
+        Everything an iteration reads except the remaining instructions and
+        the warm start — each row's profile fields, cycle budget, multiplier
+        and solo stall, and the :class:`ContentionPlan` — changes only with
+        the runnable set, the frequency, a row's phase profile or the
+        contention model, so it is built once (:class:`_FixedPointInputs`)
+        and reused until one of those changes.  An epoch reads each row's
+        remaining instructions once; an iteration computes one L2-miss rate
+        per row and evaluates the plan at those rates
+        (:meth:`ContentionModel.evaluate_tuples`), and
+        :meth:`ContentionResult.reproduces` decides exact convergence.  With
+        twin classes there is one row per class and the plan expands it to
+        every lane of the class.  Every arithmetic expression keeps the
+        reference implementation's operand order.  Behavioural changes go
+        into :meth:`_fixed_point` first.
         """
-        machine = self._cpu.machine
-        solo_hit_latency = machine.l3.latency_cycles
-        solo_memory_latency = machine.memory_latency_cycles
-        if twins is None:
-            lanes, classes, workload_ids = runnable, None, None
+        inputs = self._fixed_point_inputs
+        if inputs is None or inputs.frequency_hz != frequency_hz:
+            inputs = self._build_fixed_point_inputs(
+                runnable, twins, frequency_hz, multipliers
+            )
         else:
-            lanes, classes, workload_ids = (
-                twins.representatives, twins.classes, twins.workload_ids
-            )
-        rows = []
-        for invocation, share_seconds, occupancy in lanes:
-            cursor = invocation.cursor
-            profile = cursor.profile
-            if profile is None:
-                continue
-            l2_mpki = profile.l2_mpki
-            rows.append(
-                (
-                    invocation.invocation_id,
-                    profile,
-                    l2_mpki,
-                    l2_mpki / 1000.0,
-                    profile.mlp,
-                    profile.cpi_base,
-                    multipliers[invocation.invocation_id],
-                    share_seconds * frequency_hz,
-                    cursor.instructions_remaining,
-                    profile.working_set_mb,
-                    profile.solo_l3_hit_fraction,
-                )
-            )
+            for cursor, profile in zip(inputs.cursors, inputs.profiles):
+                if cursor.profile is not profile:
+                    inputs = self._build_fixed_point_inputs(
+                        runnable, twins, frequency_hz, multipliers
+                    )
+                    break
+        rows = [
+            (row, cursor.instructions_remaining)
+            for row, cursor in zip(inputs.rows, inputs.cursors)
+        ]
+        plan = inputs.plan
         initial = self._warm_start
         result = initial
         evaluate_tuples = self._cpu.contention.evaluate_tuples
@@ -1012,25 +1038,13 @@ class SimulationEngine:
             hit_latency = result.l3_hit_latency_cycles
             memory_latency = result.memory_latency_cycles
             inflation = result.private_inflation
-            demands = []
-            for (
-                workload_id,
-                profile,
-                l2_mpki,
-                mpki_per_inst,
-                mlp,
-                cpi_base,
-                multiplier,
-                cycles_available,
-                remaining,
-                working_set_mb,
-                solo_hit,
-            ) in rows:
+            rates = []
+            for row, remaining in rows:
+                (workload_id, l2_mpki, mpki_per_inst, mlp, cpi_base, multiplier,
+                 cycles_available, solo_stall_per_inst) = row
                 hit_fraction = lookup(workload_id)
                 if hit_fraction is None:
-                    stall_per_inst = profile.solo_stall_cycles_per_instruction(
-                        solo_hit_latency, solo_memory_latency
-                    )
+                    stall_per_inst = solo_stall_per_inst
                     private_inflation = 1.0
                 else:
                     stall_per_inst = mpki_per_inst * (
@@ -1043,17 +1057,60 @@ class SimulationEngine:
                 instructions = cycles_available / cpi_effective
                 if remaining < instructions:
                     instructions = remaining
-                demands.append(
-                    (
-                        workload_id,
-                        instructions * l2_mpki / 1000.0 / dt,
-                        working_set_mb,
-                        solo_hit,
-                        mlp,
-                    )
-                )
-            result = evaluate_tuples(demands, classes, workload_ids)
+                rates.append(instructions * l2_mpki / 1000.0 / dt)
+            result = evaluate_tuples(rates, plan)
         return result, result.reproduces(initial)
+
+    def _build_fixed_point_inputs(
+        self,
+        runnable: Runnable,
+        twins: Optional[TwinClasses],
+        frequency_hz: float,
+        multipliers: Dict[int, float],
+    ) -> _FixedPointInputs:
+        """Build and cache :meth:`_fixed_point_fast`'s per-phase inputs."""
+        machine = self._cpu.machine
+        solo_hit_latency = machine.l3.latency_cycles
+        solo_memory_latency = machine.memory_latency_cycles
+        lanes = runnable if twins is None else twins.representatives
+        cursors = []
+        profiles = []
+        rows = []
+        entries = []
+        for invocation, share_seconds, occupancy in lanes:
+            cursor = invocation.cursor
+            profile = cursor.profile
+            if profile is None:
+                continue
+            workload_id = invocation.invocation_id
+            l2_mpki = profile.l2_mpki
+            cursors.append(cursor)
+            profiles.append(profile)
+            rows.append(
+                (
+                    workload_id,
+                    l2_mpki,
+                    l2_mpki / 1000.0,
+                    profile.mlp,
+                    profile.cpi_base,
+                    multipliers[workload_id],
+                    share_seconds * frequency_hz,
+                    profile.solo_stall_cycles_per_instruction(
+                        solo_hit_latency, solo_memory_latency
+                    ),
+                )
+            )
+            entries.append(
+                (workload_id, profile.working_set_mb, profile.solo_l3_hit_fraction)
+            )
+        contention = self._cpu.contention
+        if twins is None:
+            plan = contention.plan(entries)
+        else:
+            plan = contention.plan(entries, twins.classes, twins.workload_ids)
+        inputs = _FixedPointInputs(frequency_hz, cursors, profiles, rows, plan)
+        self._fixed_point_inputs = inputs
+        return inputs
 
     def _advance_cursor(
         self,

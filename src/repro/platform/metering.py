@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.hardware.pmu import CounterSnapshot
 from repro.platform.invoker import Invocation
@@ -258,6 +258,8 @@ class MeteringLedger:
     events: int = 0
     dropped: int = 0
     duplicated: int = 0
+    #: Functions observed since the last :meth:`take_touched`.
+    _touched: Set[str] = field(default_factory=set, compare=False, repr=False)
 
     def observe(
         self, function: str, memory_gb: float, occupied_seconds: float, copies: int = 1
@@ -266,6 +268,7 @@ class MeteringLedger:
             raise ValueError(f"copies must be 0, 1 or 2, got {copies!r}")
         gb_seconds = memory_gb * occupied_seconds
         self._true[function] = self._true.get(function, 0.0) + gb_seconds
+        self._touched.add(function)
         self.events += 1
         if copies == 0:
             self.dropped += 1
@@ -281,6 +284,17 @@ class MeteringLedger:
     @property
     def billed_total(self) -> float:
         return sum(self._billed.values())
+
+    def take_touched(self) -> List[Tuple[str, float, float]]:
+        """``(function, true total, billed total)`` for each function
+        observed since the previous call, in function order; then forgets
+        them."""
+        touched = [
+            (function, self._true[function], self._billed.get(function, 0.0))
+            for function in sorted(self._touched)
+        ]
+        self._touched.clear()
+        return touched
 
     def freeze(self) -> TenantBilling:
         return TenantBilling(

@@ -35,8 +35,9 @@ from repro.serve.replay import StreamReplay
 #: Bump whenever the replay's pickled layout changes incompatibly.  2: the
 #: vector engine keeps per-invocation state in one float block and its
 #: spec table in one flat profile table.  3: the replay holds its fleet in
-#: one ``VectorDrive``.
-CHECKPOINT_VERSION = 3
+#: one ``VectorDrive``.  4: the engine pickles only its used columns, and
+#: each metering ledger keeps the tenants billed since the last drain.
+CHECKPOINT_VERSION = 4
 
 _FORMAT = "repro-stream-checkpoint"
 
@@ -53,7 +54,9 @@ def checkpoint_path(directory: Path, fingerprint: str) -> Path:
 def save_checkpoint(path: Path, replay: StreamReplay) -> Path:
     """Atomically persist ``replay`` to ``path``; returns the path."""
     blob = base64.b64encode(
-        zlib.compress(pickle.dumps(replay, protocol=pickle.HIGHEST_PROTOCOL))
+        # Level 1: the live-column pickle is small, and a higher level
+        # costs more time than it saves bytes.
+        zlib.compress(pickle.dumps(replay, protocol=pickle.HIGHEST_PROTOCOL), 1)
     ).decode("ascii")
     envelope = {
         "format": _FORMAT,

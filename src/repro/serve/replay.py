@@ -158,27 +158,23 @@ class StreamReplay:
         return stepped
 
     def _drain_records(self, chunk_index: int) -> Tuple[BillingRecord, ...]:
+        # Only tenants billed since the last chunk can have moved.
         records: List[BillingRecord] = []
         scenarios = self._drive.sweep.scenarios
-        for s, billing in enumerate(self._drive.billing()):
-            if billing is None:
+        for s, function, true_total, billed_total in self._drive.take_billing_updates():
+            seen_true, seen_billed = self._published.get((s, function), (0.0, 0.0))
+            if true_total == seen_true and billed_total == seen_billed:
                 continue
-            billed = dict(billing.billed_gb_seconds)
-            for function, true_total in billing.true_gb_seconds:
-                billed_total = billed.get(function, 0.0)
-                seen_true, seen_billed = self._published.get((s, function), (0.0, 0.0))
-                if true_total == seen_true and billed_total == seen_billed:
-                    continue
-                records.append(
-                    BillingRecord(
-                        chunk=chunk_index,
-                        scenario=scenarios[s].name,
-                        function=function,
-                        true_gb_seconds=true_total - seen_true,
-                        billed_gb_seconds=billed_total - seen_billed,
-                    )
+            records.append(
+                BillingRecord(
+                    chunk=chunk_index,
+                    scenario=scenarios[s].name,
+                    function=function,
+                    true_gb_seconds=true_total - seen_true,
+                    billed_gb_seconds=billed_total - seen_billed,
                 )
-                self._published[(s, function)] = (true_total, billed_total)
+            )
+            self._published[(s, function)] = (true_total, billed_total)
         return tuple(records)
 
     def _chunk_result(self, chunk_index: int, epochs: int) -> ChunkResult:

@@ -209,6 +209,43 @@ class TestCalibrationDiskCache:
         )
         assert len(list(cache_dir.glob("calibration-*.json"))) == 2
 
+    def _calibrate_twice(self, machine, small_args, monkeypatch):
+        """Two cached calibrations with a fresh in-process layer before each,
+        as in two worker processes; returns both and the sweeps that ran."""
+        from repro.core import calibration as calibration_module
+
+        calls = {"n": 0}
+        original = calibration_module.Calibrator.calibrate
+
+        def counting(self):
+            calls["n"] += 1
+            return original(self)
+
+        monkeypatch.setattr(calibration_module.Calibrator, "calibrate", counting)
+        scenario = CalibrationScenario.dedicated(2)
+        diskcache.forget()
+        first = calibrate_cached(machine, scenario, **small_args)
+        diskcache.forget()
+        second = calibrate_cached(machine, scenario, **small_args)
+        return first, second, calls["n"]
+
+    def test_machine_outside_the_table_is_served_from_disk(
+        self, cache_dir, small_args, monkeypatch
+    ):
+        custom = replace(CASCADE_LAKE_5218, name="custom-5218")
+        first, second, sweeps = self._calibrate_twice(custom, small_args, monkeypatch)
+        assert sweeps == 1
+        assert second.machine == custom
+        assert calibration_to_dict(second) == calibration_to_dict(first)
+
+    def test_same_named_variant_keeps_its_spec(self, cache_dir, small_args, monkeypatch):
+        variant = replace(CASCADE_LAKE_5218, memory_latency_ns=170.0)
+        assert variant.name == CASCADE_LAKE_5218.name
+        _, second, sweeps = self._calibrate_twice(variant, small_args, monkeypatch)
+        assert sweeps == 1
+        assert second.machine == variant
+        assert second.machine.memory_latency_ns == 170.0
+
     def test_damaged_entry_is_recomputed_and_rewritten(self, cache_dir, small_args):
         machine = CASCADE_LAKE_5218
         scenario = CalibrationScenario.dedicated(2)

@@ -1,6 +1,7 @@
 """Tests for calibration persistence, the billing service and the CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +58,15 @@ class TestPersistence:
         assert "congestion_table" in text
         rebuilt = calibration_from_dict(json.loads(text))
         assert rebuilt.generators == small_calibration.generators
+
+    def test_payload_for_another_machine_is_rejected(self, small_calibration):
+        payload = calibration_to_dict(small_calibration)
+        other = replace(small_calibration.machine, name="other-machine")
+        with pytest.raises(ValueError, match="other-machine"):
+            calibration_from_dict(payload, other)
+        assert calibration_from_dict(payload, small_calibration.machine).machine is (
+            small_calibration.machine
+        )
 
     def test_unknown_format_version_rejected(self, small_calibration):
         payload = calibration_to_dict(small_calibration)

@@ -1,12 +1,14 @@
 """Unit tests for the engine fast path's penalty-signature cache and stats."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.calibration import Calibrator
 from repro.core.persistence import calibration_to_dict
 from repro.experiments.config import one_per_core
 from repro.experiments.harness import registry_for
-from repro.hardware.contention import ContentionResult
+from repro.hardware.contention import ContentionParameters, ContentionResult
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.engine import (
@@ -16,6 +18,7 @@ from repro.platform.engine import (
 )
 from repro.platform.scheduler import DedicatedCoreScheduler
 from repro.workloads.registry import default_registry
+from repro.workloads.traffic import ct_gen
 
 
 def _result(*workload_ids: int, hit: float = 0.5) -> ContentionResult:
@@ -135,6 +138,55 @@ class TestTwinLanes:
         assert calibration_to_dict(self._calibration(True)) == calibration_to_dict(
             self._calibration(False)
         )
+
+
+class TestFixedPointInputs:
+    """The fast fixed point caches its inputs per runnable set and phase;
+    each change they depend on must rebuild them."""
+
+    def _run(self, fast_path: bool):
+        engine = SimulationEngine(
+            CPU(CASCADE_LAKE_5218),
+            DedicatedCoreScheduler(),
+            config=EngineConfig(fast_path=fast_path),
+        )
+        # Two CT-Gen threads form a twin class next to two functions that
+        # cross phases (at 2, 3, 4 and 9 ms, then after the throttle)
+        # without a runnable-set change in between.
+        for spec in ct_gen(2).thread_specs():
+            engine.submit(spec, tags={"role": "generator"})
+        registry = default_registry()
+        invocations = [engine.submit(registry.get(name)) for name in ("auth-py", "fib-go")]
+        engine.run_for(0.010)
+        # Mid-phase, between two stepped epochs of one runnable set.
+        engine.set_frequency_scale(0.7)
+        engine.run_for(0.020)
+        engine.set_contention_parameters(
+            ContentionParameters(memory_queueing_coefficient=0.8)
+        )
+        assert engine.run_until(
+            lambda e: all(invocation.is_completed for invocation in invocations),
+            max_seconds=30.0,
+        )
+        return engine, invocations
+
+    @staticmethod
+    def _bits(snapshot):
+        return [value.hex() for value in dataclasses.astuple(snapshot)]
+
+    def test_phase_frequency_and_model_changes_stay_bit_identical(self):
+        fast_engine, fast_invocations = self._run(fast_path=True)
+        slow_engine, slow_invocations = self._run(fast_path=False)
+        assert fast_engine.fast_path_stats.twin_lane_epochs > 0
+        assert fast_engine.time_seconds.hex() == slow_engine.time_seconds.hex()
+        assert self._bits(fast_engine.cpu.global_counters.snapshot()) == self._bits(
+            slow_engine.cpu.global_counters.snapshot()
+        )
+        for fast, slow in zip(fast_invocations, slow_invocations):
+            assert fast.finish_time.hex() == slow.finish_time.hex()
+            assert self._bits(fast.counters.snapshot()) == self._bits(
+                slow.counters.snapshot()
+            )
 
 
 class TestEngineConfigFlag:

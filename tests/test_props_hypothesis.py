@@ -414,11 +414,18 @@ def _demands(raw):
     ]
 
 
-def _entries(demands):
-    return [
-        (d.workload_id, d.l2_miss_rate, d.working_set_mb, d.solo_l3_hit_fraction, d.mlp)
-        for d in demands
-    ]
+def _plan(raw, classes=None):
+    """A plan with one entry per ``raw`` demand, expanded to the workloads
+    ``classes`` lists when given."""
+    entries = [(index, ws, hit) for index, (_, ws, hit, _) in enumerate(raw)]
+    if classes is None:
+        return _MODEL.plan(entries)
+    return _MODEL.plan(entries, classes, range(len(classes)))
+
+
+def _evaluate(raw, classes=None):
+    """``evaluate_tuples`` at ``raw``'s rates on :func:`_plan`'s plan."""
+    return _MODEL.evaluate_tuples([rate for rate, _, _, _ in raw], _plan(raw, classes))
 
 
 def _penalty(result, workload_id):
@@ -453,8 +460,7 @@ def _assert_same_penalties(result, reference):
 def test_evaluate_tuples_matches_evaluate(raw, data):
     """Bit for bit, with one entry per workload and with entries shared by
     several workloads (twins) in a shuffled workload order."""
-    demands = _demands(raw)
-    _assert_same_penalties(_MODEL.evaluate_tuples(_entries(demands)), _MODEL.evaluate(demands))
+    _assert_same_penalties(_evaluate(raw), _MODEL.evaluate(_demands(raw)))
 
     shared = data.draw(class_entries)
     repeats = data.draw(
@@ -462,7 +468,7 @@ def test_evaluate_tuples_matches_evaluate(raw, data):
     )
     classes = data.draw(st.permutations(list(range(len(shared))) + repeats))
     _assert_same_penalties(
-        _MODEL.evaluate_tuples(_entries(_demands(shared)), classes, range(len(classes))),
+        _evaluate(shared, classes),
         _MODEL.evaluate(_demands([shared[position] for position in classes])),
     )
 
@@ -474,8 +480,8 @@ def test_reproduces_decides_like_penalty_equality(raw_a, raw_b, overlap):
     # ``raw_b`` shares a prefix of ``raw_a``'s workloads (same ids, same
     # demands) so equal results occur, not just disjoint ones.
     raw_b = raw_a[:overlap] + raw_b
-    previous = _MODEL.evaluate_tuples(_entries(_demands(raw_a)))
-    current = _MODEL.evaluate_tuples(_entries(_demands(raw_b)))
+    previous = _evaluate(raw_a)
+    current = _evaluate(raw_b)
     previous_penalties = {i: _penalty(previous, i) for i in previous.hit_fractions}
     current_penalties = {i: _penalty(current, i) for i in current.hit_fractions}
     for newer, older, older_penalties in (
@@ -487,3 +493,38 @@ def test_reproduces_decides_like_penalty_equality(raw_a, raw_b, overlap):
         )
         assert newer.reproduces(older) == expected
     assert previous.reproduces(previous)
+
+
+#: An L2-miss rate; zero is frequent.
+miss_rates = st.just(0.0) | st.floats(min_value=0.0, max_value=5e8)
+
+
+@given(class_entries, st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_plan_serves_every_rate_vector(shared, twins, data):
+    """A plan holds nothing that depends on the rates: one plan, evaluated
+    at several drawn rate vectors, at all-zero rates and with a single zero
+    rate, matches ``evaluate()`` bit for bit every time."""
+    classes = None
+    lanes = list(range(len(shared)))
+    if twins:
+        repeats = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(shared) - 1), max_size=16)
+        )
+        classes = lanes = data.draw(st.permutations(lanes + repeats))
+    plan = _plan(shared, classes)
+    size = len(shared)
+    vectors = data.draw(
+        st.lists(st.lists(miss_rates, min_size=size, max_size=size), min_size=1, max_size=4)
+    )
+    single_zero = data.draw(
+        st.lists(
+            st.floats(min_value=1.0, max_value=5e8), min_size=size, max_size=size
+        )
+    )
+    single_zero[data.draw(st.integers(min_value=0, max_value=size - 1))] = 0.0
+    for rates in vectors + [[0.0] * size, single_zero]:
+        expected = _MODEL.evaluate(
+            _demands([(rates[position],) + shared[position][1:] for position in lanes])
+        )
+        _assert_same_penalties(_MODEL.evaluate_tuples(rates, plan), expected)

@@ -143,6 +143,16 @@ class TestMeterRobustness:
         assert ledger.duplicated == 10
         assert ledger.freeze().billing_error_fraction == pytest.approx(1.0)
 
+    def test_touched_tenants_are_taken_once_in_function_order(self):
+        ledger = MeteringLedger()
+        ledger.observe("fib-py", 0.5, 2.0)
+        ledger.observe("aes-py", 0.25, 4.0, copies=0)
+        ledger.observe("fib-py", 0.5, 2.0, copies=2)
+        assert ledger.take_touched() == [("aes-py", 1.0, 0.0), ("fib-py", 2.0, 3.0)]
+        assert ledger.take_touched() == []
+        ledger.observe("fib-py", 0.5, 2.0)
+        assert ledger.take_touched() == [("fib-py", 3.0, 4.0)]
+
     def test_seeded_partial_loss_is_reproducible_per_tenant(self):
         def run():
             ledger = MeteringLedger()

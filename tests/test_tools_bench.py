@@ -160,3 +160,81 @@ def test_committed_baseline_matches_the_ci_smoke_shape():
         "sg2042-like",
         "contention.memory_queueing_coefficient",
     ) in signatures
+
+
+# --------------------------------------------------------------------- #
+# The exact work-count gate (tools/check_work_counts.py)
+# --------------------------------------------------------------------- #
+_counts_spec = importlib.util.spec_from_file_location(
+    "check_work_counts", ROOT / "tools" / "check_work_counts.py"
+)
+counts_gate = importlib.util.module_from_spec(_counts_spec)
+_counts_spec.loader.exec_module(counts_gate)
+
+
+def _perfbench_output(path: Path, metrics) -> Path:
+    """A perfbench report: report lines, then the one-line JSON result."""
+    result = {
+        "correct": True,
+        "attempted": 1,
+        "failed": 0,
+        "metrics": {name: {"value": value, "unit": "count"} for name, value in metrics.items()},
+    }
+    path.write_text(
+        "perfbench price-light: 1 cold traced run(s)\n  contention.calls 8012 count\n"
+        + json.dumps(result)
+        + "\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def _counts_file(path: Path) -> Path:
+    path.write_text(
+        json.dumps({"price-light": {"contention.calls": 8012, "batch.ratio": 1.8744}}),
+        encoding="utf-8",
+    )
+    return path
+
+
+def _check(tmp_path, metrics, workload="price-light"):
+    return counts_gate.main(
+        [
+            "--workload",
+            workload,
+            "--result",
+            str(_perfbench_output(tmp_path / "run.txt", metrics)),
+            "--counts",
+            str(_counts_file(tmp_path / "counts.json")),
+        ]
+    )
+
+
+def test_work_counts_match_passes(tmp_path, capsys):
+    metrics = {"contention.calls": 8012.0, "batch.ratio": 1.8744, "trace.run_s": 0.5}
+    assert _check(tmp_path, metrics) == 0
+    assert "all 2 match" in capsys.readouterr().out
+
+
+def test_work_count_mismatch_fails(tmp_path, capsys):
+    assert _check(tmp_path, {"contention.calls": 8013.0, "batch.ratio": 1.8744}) == 1
+    assert "contention.calls: 8013.0, expected 8012" in capsys.readouterr().out
+
+
+def test_missing_work_count_fails(tmp_path, capsys):
+    assert _check(tmp_path, {"contention.calls": 8012.0}) == 1
+    assert "batch.ratio: missing" in capsys.readouterr().out
+
+
+def test_unknown_workload_is_a_usage_error(tmp_path, capsys):
+    assert _check(tmp_path, {"contention.calls": 8012.0}, workload="fleet-sweep") == 2
+    assert "no work counts" in capsys.readouterr().err
+
+
+def test_committed_work_counts_cover_the_gated_workloads():
+    counts = json.loads((ROOT / "tools" / "work_counts.json").read_text(encoding="utf-8"))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(counts) == sorted(w["name"] for w in benchmark["workloads"])
+    per_layer = {metric["name"] for metric in benchmark["per_layer"]}
+    for expected in counts.values():
+        assert set(expected) <= per_layer
