@@ -62,7 +62,7 @@ def streamed_usage(
     """Replay ``preset`` through the streaming service, invoicing as we go.
 
     Returns per-(scenario, function) usage rows aggregated purely from the
-    :class:`~repro.serve.BillingRecord` deltas the publish stage receives —
+    :class:`~repro.serve.BillingRecord` deltas the publish sink receives —
     the streamed ledger, never the batch result — plus the pipeline's
     :class:`~repro.serve.StreamSummary`.
     """

@@ -143,9 +143,7 @@ def measure_series(
         engine = SimulationEngine(
             CPU(machine, contention_parameters=parameters),
             LeastOccupancyScheduler(),
-            config=EngineConfig(
-                epoch_seconds=config.epoch_seconds, record_events=False
-            ),
+            config=EngineConfig(epoch_seconds=config.epoch_seconds),
         )
         for thread in range(config.cores):
             for _ in range(config.colocation):

@@ -30,7 +30,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, Mapping, NoReturn, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, NoReturn, Optional, Sequence
 
 from repro import benchlog
 from repro._version import __version__
@@ -70,9 +70,6 @@ def _run_single(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         names = resolve_figure_names(args.figures)
     except KeyError as error:
@@ -220,10 +217,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         compile_spec,
         load_spec_or_preset,
     )
-
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
 
     spec = None
     compiled = None
@@ -491,18 +484,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         load_checkpoint,
     )
 
-    if args.chunk_epochs < 1:
-        print("--chunk-epochs must be >= 1", file=sys.stderr)
-        return 2
-    if args.checkpoint_every < 1:
-        print("--checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_chunks is not None and args.max_chunks < 1:
-        print("--max-chunks must be >= 1", file=sys.stderr)
-        return 2
-    if args.queue_depth < 1:
-        print("--queue-depth must be >= 1", file=sys.stderr)
-        return 2
     if args.verify and args.max_chunks is not None:
         print(
             "--verify needs the full horizon; it cannot be combined with "
@@ -581,7 +562,6 @@ def _command_stream(args: argparse.Namespace) -> int:
                 replay,
                 plan,
                 publish=None if writer is None else sink,
-                queue_depth=args.queue_depth,
                 checkpoint_to=ckpt_file,
                 checkpoint_every=args.checkpoint_every,
                 max_chunks=args.max_chunks,
@@ -674,15 +654,6 @@ def _command_calibrate(args: argparse.Namespace) -> int:
 
     if args.once == args.watch:
         print("exactly one of --once / --watch is required", file=sys.stderr)
-        return 2
-    if args.points < 2:
-        print("--points must be >= 2", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.rounds < 1:
-        print("--rounds must be >= 1", file=sys.stderr)
         return 2
     if len(args.drift_at) != len(args.drift_scale):
         print(
@@ -923,6 +894,21 @@ def _series_budget(text: str) -> int:
     return value
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type of an integer flag that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_telemetry_flags(
     parser: argparse.ArgumentParser,
     *,
@@ -994,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="worker processes for sweep mode (default 1)",
     )
@@ -1054,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--shards",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="partition the grid across N worker processes (default: 1, or "
         "the spec's [sweep].shards); results are shard-count independent",
@@ -1135,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
             "checkpoint; --max-chunks stops early (checkpointing) so a later\n"
             "invocation can resume.\n"
             "Docs: docs/streaming.md (cookbook, checkpoint format,\n"
-            "backpressure knobs), docs/observability.md (--metrics)."
+            "publish/checkpoint order), docs/observability.md (--metrics)."
         ),
     )
     stream_parser.add_argument(
@@ -1146,7 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--chunk-epochs",
-        type=int,
+        type=_int_at_least(1),
         default=32,
         help="epochs ingested per trace chunk (default: 32; pacing only — "
         "results are chunk-size independent)",
@@ -1159,24 +1145,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_int_at_least(1),
         default=8,
         help="checkpoint every N chunks when --checkpoint-dir is set "
         "(default: 8)",
     )
     stream_parser.add_argument(
         "--max-chunks",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="stop after N chunks (writing a checkpoint when --checkpoint-dir "
         "is set) instead of running to the horizon",
-    )
-    stream_parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=4,
-        help="bounded-queue depth between the ingest/simulate/publish stages "
-        "(default: 4)",
     )
     stream_parser.add_argument(
         "--records-out",
@@ -1250,13 +1229,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--points",
-        type=int,
+        type=_int_at_least(2),
         default=9,
         help="linspace grid resolution (default: 9)",
     )
     calibrate_parser.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="candidate evaluations in this many parallel processes "
         "(default: 1 = inline; results are worker-count independent)",
@@ -1282,7 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--rounds",
-        type=int,
+        type=_int_at_least(1),
         default=8,
         help="--watch only: drift-check rounds to run (default: 8)",
     )

@@ -95,9 +95,6 @@ class ExponentialRegressionModel:
     def predict(self, x: float) -> float:
         return math.exp(self.intercept + self.slope * x)
 
-    def predict_log(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
 
 def log_interpolation_weight(value: float, low: float, high: float) -> float:
     """Position of ``value`` between ``low`` and ``high`` on a log scale.

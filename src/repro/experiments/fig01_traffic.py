@@ -57,7 +57,7 @@ def _generator_misses(
     engine = SimulationEngine(
         cpu,
         DedicatedCoreScheduler(),
-        config=EngineConfig(epoch_seconds=config.epoch_seconds, record_events=False),
+        config=EngineConfig(epoch_seconds=config.epoch_seconds),
     )
     for index, spec in enumerate(generator(kind, threads).thread_specs()):
         engine.submit(spec, thread_id=index, tags={"role": "generator"})

@@ -31,7 +31,7 @@ def startup_ipc_trace(
     engine = SimulationEngine(
         cpu,
         DedicatedCoreScheduler(),
-        config=EngineConfig(epoch_seconds=config.epoch_seconds, record_events=False),
+        config=EngineConfig(epoch_seconds=config.epoch_seconds),
     )
     invocation = engine.submit(probe_spec(language), tags={"role": "ipc-trace"})
     samples: List[Mapping[str, object]] = []

@@ -134,6 +134,3 @@ class CPU:
         if sibling is not None and sibling.is_busy and thread.is_busy:
             return self._machine.smt_private_penalty
         return 1.0
-
-    def reset_counters(self) -> None:
-        self._global_counters.reset()

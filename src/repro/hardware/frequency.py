@@ -52,7 +52,3 @@ class FrequencyGovernor:
 
     def frequency_hz(self, active_threads: int) -> float:
         return self.frequency_ghz(active_threads) * 1e9
-
-    def scaling_factor(self, active_threads: int) -> float:
-        """Frequency relative to the base clock (1.0 under the fixed policy)."""
-        return self.frequency_ghz(active_threads) / self.machine.base_frequency_ghz

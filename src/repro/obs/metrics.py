@@ -367,18 +367,6 @@ class MetricsCollector:
         # whatever a mismatched worker version manages to enqueue.
 
     @property
-    def snapshots_seen(self) -> int:
-        return self._snapshots_seen
-
-    @property
-    def spans_seen(self) -> int:
-        return self._spans_seen
-
-    @property
-    def series_points_seen(self) -> int:
-        return self._series_points_seen
-
-    @property
     def span_overhead_seconds(self) -> float:
         """Observability overhead the collected spans self-reported.
 

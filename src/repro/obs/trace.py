@@ -58,7 +58,7 @@ class TraceSpan:
     different processes on the same machine order correctly;
     ``duration_seconds`` is measured with ``perf_counter`` so it is
     monotonic.  ``tags`` is a small JSON-safe dict — by convention every
-    span carries a ``phase`` tag (``sweep``/``shard``/``ingest``/…)
+    span carries a ``phase`` tag (``sweep``/``shard``/``chunk``/…)
     that the ``obs summarize`` per-phase breakdown groups on.
     """
 
@@ -112,8 +112,7 @@ class Tracer:
     The tracer keeps an open-span stack, so nested ``with`` blocks
     parent automatically; cross-process children pass the inherited
     :class:`SpanContext` explicitly.  All bookkeeping wall-clock is
-    accumulated into :attr:`overhead_seconds` (guarded by a lock — the
-    stream pipeline traces from three threads).
+    accumulated into :attr:`overhead_seconds` (guarded by a lock).
     """
 
     def __init__(

@@ -10,7 +10,6 @@ active invocation under the hardware contention model.
 """
 
 from repro.platform.sandbox import Sandbox
-from repro.platform.events import Event, EventKind, EventLog
 from repro.platform.invoker import Invocation, InvocationState
 from repro.platform.scheduler import (
     LeastOccupancyScheduler,
@@ -31,9 +30,6 @@ from repro.platform.oracle import SoloOracle, SoloProfile
 
 __all__ = [
     "Sandbox",
-    "Event",
-    "EventKind",
-    "EventLog",
     "Invocation",
     "InvocationState",
     "Scheduler",

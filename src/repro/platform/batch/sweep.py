@@ -669,12 +669,7 @@ class FleetSweep:
                 engine = SimulationEngine(
                     CPU(spec),
                     LeastOccupancyScheduler(),
-                    # No event log: the vector side keeps none, and a heavy
-                    # churn horizon would otherwise grow it unboundedly and
-                    # bias the recorded speedup in the vector's favour.
-                    config=EngineConfig(
-                        epoch_seconds=self._epoch_seconds, record_events=False
-                    ),
+                    config=EngineConfig(epoch_seconds=self._epoch_seconds),
                 )
                 counts = {"submitted": 0, "completed": 0}
                 for thread in range(cores):

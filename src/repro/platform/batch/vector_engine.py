@@ -43,9 +43,9 @@ stream-billing benchmark, 327 of 5,760 in fleet-sweep, where per-lane
 ``pow`` would cost 5,760 libm calls).  docs/backends.md gives measured
 per-epoch costs.
 
-Limitations (gated with explicit errors): SMT sharing domains and
-event-log recording are not supported; randomness must live outside the
-engine, exactly as with the scalar engine.
+Limitations (gated with explicit errors): SMT sharing domains are not
+supported; randomness must live outside the engine, exactly as with the
+scalar engine.
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ _COLUMN_ARRAYS = (
     "phase_column",
     "end_column",
     "_state",
-    "submit_time",
-    "finish_time",
 )
 
 #: Listener called when an invocation completes.  Receives the materialized
@@ -333,11 +331,8 @@ class VectorEngine:
         self.phase_column = np.zeros(0, dtype=np.int64)
         self.end_column = np.zeros(0, dtype=np.int64)
         self._state = np.zeros((_PROBE_END + 1, 0))
-        self.submit_time = np.zeros(0)
-        self.finish_time = np.zeros(0)
         self._grow(max(initial_capacity, 16))
         self._handles: List[Optional[Invocation]] = []
-        self._tags: List[Optional[Dict[str, str]]] = []
         self._completed: List[object] = []
 
     # ------------------------------------------------------------------ #
@@ -485,10 +480,6 @@ class VectorEngine:
         """
         self._finish_listeners.append(listener)
 
-    def thread_occupancy(self, machine: int, thread_id: int) -> int:
-        """Invocations co-located on one machine-local hardware thread."""
-        return len(self._queues[machine * self._threads_per_machine + thread_id])
-
     def __getstate__(self) -> Dict[str, object]:
         # Finish listeners are arbitrary closures over driver state and are
         # not picklable in general; whoever checkpoints an engine owns
@@ -542,7 +533,8 @@ class VectorEngine:
 
         ``thread_id`` is machine-local; when omitted the least-occupied
         thread of the target machine hosts the invocation (the scalar
-        ``LeastOccupancyScheduler`` rule).
+        ``LeastOccupancyScheduler`` rule).  ``tags`` label the
+        materialized handle; a bare index carries none.
         """
         if not 0 <= machine < self._machines:
             raise ValueError(f"machine {machine} out of range")
@@ -558,7 +550,6 @@ class VectorEngine:
                 self._grow(self._capacity * 2)
             self._count = index + 1
             self._handles.append(None)
-            self._tags.append(None)
 
         spec_index = self._specs.intern(spec)
         gthread = machine * self._threads_per_machine + thread_id
@@ -584,7 +575,6 @@ class VectorEngine:
         column[_PROBE_END] = (
             math.inf if spec.is_traffic_generator else spec.startup_instructions
         )
-        self.submit_time[index] = self._time
         self._queues[gthread].append(index)
         self._order_dirty = True
         self._stats.submissions += 1
@@ -607,7 +597,6 @@ class VectorEngine:
             handle.machine_counters_at_start = self.machine_counters(machine)
             self._handles[index] = handle
             return handle
-        self._tags[index] = dict(tags) if tags else None
         return index
 
     # ------------------------------------------------------------------ #
@@ -1045,7 +1034,6 @@ class VectorEngine:
         materialize = self._materialize
         for index in finished_indices.tolist():
             self.active[index] = False
-            self.finish_time[index] = self._time
             self._queues[int(self.gthread[index])].remove(index)
             self._order_dirty = True
             self._stats.completions += 1

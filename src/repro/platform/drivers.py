@@ -113,10 +113,6 @@ class WorkQueueDriver:
         return list(self._completed)
 
     @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
     def done(self) -> bool:
         return not self._pending and not self._in_flight
 

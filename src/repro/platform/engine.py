@@ -12,7 +12,8 @@ epoch it:
    budget allows, splitting the consumed cycles into private cycles and
    cycles stalled on L2 misses, and accumulating both per-invocation and
    machine-wide performance counters,
-4. records startup-window (Litmus probe) snapshots and completion events.
+4. records startup-window (Litmus probe) snapshots and retires finished
+   invocations, calling the finish listeners.
 
 All randomness lives outside the engine (in workload selection); given the
 same submissions the engine is fully deterministic.
@@ -98,7 +99,6 @@ from repro.hardware.contention import (
     WorkloadDemand,
 )
 from repro.hardware.cpu import CPU
-from repro.platform.events import Event, EventKind, EventLog
 from repro.platform.invoker import Invocation, InvocationState
 from repro.platform.sandbox import Sandbox
 from repro.platform.scheduler import Scheduler, SwitchingOverheadModel
@@ -137,7 +137,6 @@ class EngineConfig:
 
     epoch_seconds: float = 1e-3
     fixed_point_iterations: int = 2
-    record_events: bool = True
     #: Enable the exact fast path (penalty memoization + epoch skip-ahead).
     fast_path: bool = True
 
@@ -308,7 +307,6 @@ class SimulationEngine:
         self._finish_listeners: List[FinishListener] = []
         # The reference path's warm start: the previous epoch's penalties.
         self._penalty_cache: Dict[int, SharedResourcePenalty] = {}
-        self._event_log = EventLog()
         # Fast-path state.
         self._signature_cache = PenaltySignatureCache()
         self._stats = FastPathStats()
@@ -353,10 +351,6 @@ class SimulationEngine:
     @property
     def time_seconds(self) -> float:
         return self._time
-
-    @property
-    def event_log(self) -> EventLog:
-        return self._event_log
 
     @property
     def scheduler(self) -> Scheduler:
@@ -474,9 +468,6 @@ class SimulationEngine:
         self._cpu.thread(placed_thread).enqueue(invocation.invocation_id)
         invocation.mark_started(placed_thread, self._time)
         invocation.machine_counters_at_start = self._cpu.global_counters.snapshot()
-
-        self._record_event(EventKind.SUBMIT, invocation)
-        self._record_event(EventKind.START, invocation)
         return invocation
 
     # ------------------------------------------------------------------ #
@@ -558,7 +549,6 @@ class SimulationEngine:
                     invocation.record_startup_completion(
                         now, self._cpu.global_counters.snapshot()
                     )
-                    self._record_event(EventKind.STARTUP_COMPLETE, invocation, time=now)
             if invocation.cursor.finished:
                 finished.append(invocation)
         return finished
@@ -1239,7 +1229,6 @@ class SimulationEngine:
                 machine.l3_misses = machine_l3
                 machine.context_switches = machine_switches
                 invocation.record_startup_completion(now, machine.snapshot())
-                self._record_event(EventKind.STARTUP_COMPLETE, invocation, time=now)
             if cursor.profile is None:
                 finished.append(invocation)
         machine.cycles = machine_cycles
@@ -1334,24 +1323,5 @@ class SimulationEngine:
         self._completed.append(invocation)
         if invocation.is_traffic_generator:
             self._running_generators -= 1
-        self._record_event(EventKind.FINISH, invocation)
         for listener in list(self._finish_listeners):
             listener(invocation, self)
-
-    def _record_event(
-        self,
-        kind: EventKind,
-        invocation: Invocation,
-        time: Optional[float] = None,
-    ) -> None:
-        if not self._config.record_events:
-            return
-        self._event_log.append(
-            Event(
-                time_seconds=self._time if time is None else time,
-                kind=kind,
-                invocation_id=invocation.invocation_id,
-                function=invocation.spec.abbreviation,
-                thread_id=invocation.thread_id,
-            )
-        )

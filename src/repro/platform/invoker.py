@@ -122,10 +122,6 @@ class Invocation:
     # Derived views
     # ------------------------------------------------------------------ #
     @property
-    def is_running(self) -> bool:
-        return self.state is InvocationState.RUNNING
-
-    @property
     def is_completed(self) -> bool:
         return self.state is InvocationState.COMPLETED
 
@@ -143,12 +139,6 @@ class Invocation:
         if self._occupancy_weight <= 0:
             return 1.0
         return self._occupancy_weighted_sum / self._occupancy_weight
-
-    @property
-    def wall_time_seconds(self) -> Optional[float]:
-        if self.start_time is None or self.finish_time is None:
-            return None
-        return self.finish_time - self.start_time
 
     @property
     def occupied_seconds(self) -> float:

@@ -16,8 +16,8 @@ Entry points:
 * :class:`StreamReplay` — the resumable replay state machine;
 * :mod:`repro.serve.checkpoint` — atomic, fingerprinted checkpoints built
   on :func:`repro.diskcache.atomic_write_text`;
-* :class:`StreamPipeline` — bounded-queue ingest → simulate → publish
-  stages;
+* :class:`StreamPipeline` — the loop that ingests, publishes and
+  checkpoints one chunk at a time;
 * ``python -m repro stream`` — the CLI front end (see docs/streaming.md).
 """
 

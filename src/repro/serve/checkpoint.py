@@ -37,7 +37,8 @@ from repro.serve.replay import StreamReplay
 #: spec table in one flat profile table.  3: the replay holds its fleet in
 #: one ``VectorDrive``.  4: the engine pickles only its used columns, and
 #: each metering ledger keeps the tenants billed since the last drain.
-CHECKPOINT_VERSION = 4
+#: 5: the engine no longer keeps submit and finish times or bare-index tags.
+CHECKPOINT_VERSION = 5
 
 _FORMAT = "repro-stream-checkpoint"
 

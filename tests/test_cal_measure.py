@@ -125,7 +125,7 @@ def test_recalibrated_engines_stay_bit_exact():
     scalar = SimulationEngine(
         CPU(profile.machine, contention_parameters=profile.contention),
         LeastOccupancyScheduler(),
-        config=EngineConfig(epoch_seconds=epoch, record_events=False),
+        config=EngineConfig(epoch_seconds=epoch),
     )
     vector = VectorEngine(
         profile.machine,

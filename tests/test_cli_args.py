@@ -53,3 +53,24 @@ def test_series_budget_accepts_off_and_real_budgets(command, budget):
     argv = [command, "--spec", "smoke", "--series-budget", str(budget)]
     args = build_parser().parse_args(argv)
     assert args.series_budget == budget
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--figures", "all", "--jobs", "0"], "--jobs/-j"),
+        (["sweep", "--spec", "smoke", "--shards", "0"], "--shards"),
+        (["stream", "--spec", "smoke", "--chunk-epochs", "0"], "--chunk-epochs"),
+        (["stream", "--spec", "smoke", "--checkpoint-every", "0"], "--checkpoint-every"),
+        (["stream", "--spec", "smoke", "--max-chunks", "-1"], "--max-chunks"),
+        (["calibrate", "--once", "--workers", "0"], "--workers"),
+        (["calibrate", "--watch", "--rounds", "0"], "--rounds"),
+        (["calibrate", "--once", "--points", "1"], "--points"),
+    ],
+)
+def test_integer_flags_are_checked_when_parsed(argv, flag, capsys):
+    assert f"argument {flag}:" in _refused(argv, capsys)
+
+
+def test_stream_has_no_queue_depth(capsys):
+    assert "--queue-depth" in _refused(["stream", "--spec", "smoke", "--queue-depth", "4"], capsys)

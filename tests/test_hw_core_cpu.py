@@ -120,5 +120,5 @@ class TestCPU:
     def test_reset_counters(self):
         cpu = CPU(CASCADE_LAKE_5218)
         cpu.global_counters.observe(cycles=10)
-        cpu.reset_counters()
+        cpu.global_counters.reset()
         assert cpu.global_counters.cycles == 0

@@ -11,7 +11,6 @@ class TestFixedPolicy:
         governor = FrequencyGovernor(machine=CASCADE_LAKE_5218, policy=FrequencyPolicy.FIXED)
         assert governor.frequency_ghz(0) == pytest.approx(2.8)
         assert governor.frequency_ghz(32) == pytest.approx(2.8)
-        assert governor.scaling_factor(16) == pytest.approx(1.0)
 
 
 class TestTurboPolicy:

@@ -174,7 +174,10 @@ class TestBitExactness:
         spans = [r for r in records if r["kind"] == "span"]
         (root,) = [s for s in spans if not s["parent_id"]]
         assert root["name"] == "stream"
-        assert {"ingest", "simulate", "publish"} <= {s["name"] for s in spans}
+        (simulate,) = [s for s in spans if s["name"] == "simulate"]
+        assert simulate["parent_id"] == root["span_id"]
+        chunks = [s["name"] for s in spans if s["parent_id"] == simulate["span_id"]]
+        assert chunks == [f"chunk-{index}" for index in range(8)]
         assert 0.0 <= root["tags"]["obs_overhead_fraction"] < 0.05
         series = [r for r in records if r["kind"] == "series"]
         assert series and all(p["epoch"] >= 1 for p in series)

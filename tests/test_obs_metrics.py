@@ -119,7 +119,7 @@ class TestMetricsCollector:
         )
         collector = self.drain([early, final0, final1])
         summary = collector.summary()
-        assert collector.snapshots_seen == 3
+        assert summary["snapshots"] == 3
         assert summary["epochs"] == 700
         assert summary["completions"] == 22
         assert summary["shards"]["0"]["done"] and summary["shards"]["1"]["done"]

@@ -347,8 +347,9 @@ class TestCollectorKinds:
             for line in out.read_text(encoding="utf-8").splitlines()
         )
         assert kinds == ["calibration", "series", "snapshot", "span"]
-        assert collector.spans_seen == 1
-        assert collector.series_points_seen == 1
+        summary = collector.summary()
+        assert summary["spans"] == 1
+        assert summary["series_points"] == 1
 
     def test_span_overhead_aggregation(self):
         q: "queue.Queue" = queue.Queue()

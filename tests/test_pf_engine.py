@@ -5,7 +5,6 @@ import pytest
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.engine import EngineConfig, SimulationEngine
-from repro.platform.events import EventKind
 from repro.platform.invoker import InvocationState
 from repro.platform.metering import measure_invocation
 from repro.platform.scheduler import DedicatedCoreScheduler, LeastOccupancyScheduler
@@ -53,7 +52,8 @@ class TestEngineBasics:
         )
         assert invocation.counters.cycles > 0
         assert invocation.occupied_seconds > 0
-        assert invocation.wall_time_seconds >= invocation.occupied_seconds - 1e-9
+        wall_time = invocation.finish_time - invocation.start_time
+        assert wall_time >= invocation.occupied_seconds - 1e-9
 
     def test_startup_window_recorded(self, spec):
         engine = make_engine()
@@ -67,13 +67,12 @@ class TestEngineBasics:
         engine = make_engine()
         invocation = engine.submit(spec)
         engine.run_until(lambda e: invocation.is_completed, max_seconds=10.0)
-        kinds = [e.kind for e in engine.event_log.for_invocation(invocation.invocation_id)]
-        assert kinds == [
-            EventKind.SUBMIT,
-            EventKind.START,
-            EventKind.STARTUP_COMPLETE,
-            EventKind.FINISH,
-        ]
+        assert (
+            invocation.submit_time
+            <= invocation.start_time
+            <= invocation.startup_end_time
+            <= invocation.finish_time
+        )
 
     def test_completed_invocations_filtering(self, spec, heavy_spec):
         engine = make_engine()

@@ -8,6 +8,7 @@ from repro.hardware.cpu import CPU
 from repro.hardware.frequency import FrequencyPolicy
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.engine import SimulationEngine
+from repro.platform.invoker import InvocationState
 from repro.platform.metering import measure_invocation
 from repro.platform.scheduler import DedicatedCoreScheduler, LeastOccupancyScheduler
 from repro.workloads.function import PhaseCursor
@@ -60,7 +61,7 @@ class TestTrafficGeneratorExecution:
         generator_spec = ct_gen(1).thread_specs()[0]
         invocation = engine.submit(generator_spec, thread_id=0)
         engine.run_for(0.05)
-        assert invocation.is_running
+        assert invocation.state is InvocationState.RUNNING
         assert not invocation.startup_recorded
         assert invocation.counters.instructions > 0
 

@@ -1,11 +1,10 @@
-"""Tests for metering, the solo oracle, sandboxes, events and invocations."""
+"""Tests for metering, the solo oracle, sandboxes and invocations."""
 
 import pytest
 
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import CASCADE_LAKE_5218, ICE_LAKE_4314
 from repro.platform.engine import SimulationEngine
-from repro.platform.events import Event, EventKind, EventLog
 from repro.platform.invoker import Invocation, InvocationState
 from repro.platform.metering import measure_invocation, measure_startup
 from repro.platform.oracle import SoloOracle
@@ -37,23 +36,6 @@ class TestSandbox:
     def test_rejects_non_positive_memory(self):
         with pytest.raises(ValueError):
             Sandbox(sandbox_id=1, memory_mb=0, language=Language.GO)
-
-
-class TestEventLog:
-    def test_append_and_filter(self):
-        log = EventLog()
-        log.append(Event(0.0, EventKind.SUBMIT, 1, "aes-py", 0))
-        log.append(Event(0.1, EventKind.FINISH, 1, "aes-py", 0))
-        assert len(log) == 2
-        assert len(log.of_kind(EventKind.FINISH)) == 1
-        assert len(log.for_invocation(1)) == 2
-        assert len(log.between(0.05, 0.2)) == 1
-
-    def test_rejects_out_of_order_events(self):
-        log = EventLog()
-        log.append(Event(1.0, EventKind.SUBMIT, 1, "aes-py"))
-        with pytest.raises(ValueError):
-            log.append(Event(0.5, EventKind.FINISH, 1, "aes-py"))
 
 
 class TestInvocationLifecycle:

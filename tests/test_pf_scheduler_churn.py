@@ -138,7 +138,9 @@ class TestWorkQueueDriver:
         driver = WorkQueueDriver(items, allowed_threads=[0], max_per_thread=1)
         driver.attach(engine)
         assert engine.cpu.thread(0).occupancy == 1
-        assert driver.pending_count == 3
+        assert not driver.done
+        assert engine.run_until(lambda e: driver.done, max_seconds=60.0)
+        assert len(driver.completed) == 4
 
     def test_requires_threads(self, tiny_registry):
         with pytest.raises(ValueError):

@@ -233,7 +233,6 @@ class TestMultiMachine:
         engine.submit(spec, thread_id=2)
         assert engine.cpu.thread(2).occupancy == 2
         assert engine.cpu.thread(0).occupancy == 0
-        assert engine.thread_occupancy(0, 2) == 2
         with pytest.raises(KeyError):
             engine.cpu.thread(99999)
 

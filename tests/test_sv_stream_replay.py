@@ -13,10 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-import queue
 import tempfile
-import threading
-import time
 import zlib
 from pathlib import Path
 
@@ -186,7 +183,7 @@ def test_checkpoint_refuses_an_older_version(tmp_path):
     envelope = json.loads(path.read_text(encoding="utf-8"))
     envelope["checkpoint_version"] = 3
     path.write_text(json.dumps(envelope), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="has version 3, expected 4") as caught:
+    with pytest.raises(CheckpointError, match="has version 3, expected 5") as caught:
         load_checkpoint(path, expect_fingerprint=replay.fingerprint)
     assert "\n" not in str(caught.value)
 
@@ -264,14 +261,14 @@ def test_checkpoint_envelope_is_inspectable_json(tmp_path):
     replay.ingest(TraceChunk(index=0, start_epoch=0, end_epoch=10))
     path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["checkpoint_version"] == 4
+    assert envelope["checkpoint_version"] == 5
     assert envelope["fingerprint"] == replay.fingerprint
     assert envelope["chunks_ingested"] == 1
     assert envelope["epochs_done"] == 10
 
 
 # --------------------------------------------------------------------- #
-# Pipeline (backpressure + publish ordering)
+# Pipeline (publish ordering, checkpoints behind the publisher)
 # --------------------------------------------------------------------- #
 def test_pipeline_publishes_in_order_and_matches_batch():
     replay = StreamReplay(_compiled("chaos-smoke"))
@@ -280,7 +277,6 @@ def test_pipeline_publishes_in_order_and_matches_batch():
         replay,
         chunk_plan(replay.epochs_total, 25),
         publish=published.append,
-        queue_depth=1,  # tightest backpressure
     ).run()
     assert summary.finished
     assert [r.chunk for r in published[:-1]] == sorted(
@@ -319,31 +315,57 @@ def test_pipeline_max_chunks_checkpoints_and_stops(tmp_path):
     assert restored.epochs_done == replay.epochs_done == 50
 
 
-def test_pipeline_early_stop_does_not_wait_out_a_blocked_ingest(monkeypatch):
-    """A ``max_chunks`` stop releases an ingest put blocked on a full queue.
-
-    Timed puts wait 30 s here, so ``run`` only returns promptly if the stop
-    unblocks the ingest thread instead of waiting out its put timeout.
-    """
-    original_put = queue.Queue.put
-
-    def slow_put(self, item, block=True, timeout=None):
-        return original_put(self, item, block, None if timeout is None else 30.0)
-
-    monkeypatch.setattr(queue.Queue, "put", slow_put)
+@pytest.mark.parametrize("checkpoint_every", (1, 100))
+def test_pipeline_never_checkpoints_an_unpublished_chunk(tmp_path, checkpoint_every):
+    """A sink that fails on its third chunk leaves no checkpoint past the
+    two chunks it accepted, so a resume republishes every other chunk."""
     replay = StreamReplay(_compiled("smoke"))
-    plan = chunk_plan(replay.epochs_total, 5)
-    assert len(plan) > 6  # more chunks than the queue holds plus one in flight
-    started = time.perf_counter()
-    summary = StreamPipeline(
-        replay, plan, queue_depth=2, max_chunks=1, finalize=False
+    plan = chunk_plan(replay.epochs_total, 25)
+    path = checkpoint_path(tmp_path, replay.fingerprint)
+    published = []
+
+    def failing_sink(result):
+        if len(published) == 2:
+            raise RuntimeError("sink down")
+        published.append(result.chunk)
+
+    with pytest.raises(RuntimeError, match="sink down"):
+        StreamPipeline(
+            replay,
+            plan,
+            publish=failing_sink,
+            checkpoint_to=path,
+            checkpoint_every=checkpoint_every,
+        ).run()
+    assert published == [0, 1]
+    if path.exists():
+        resumed = load_checkpoint(path, expect_fingerprint=replay.fingerprint)
+    else:
+        resumed = StreamReplay(_compiled("smoke"))
+    assert resumed.chunks_ingested <= len(published)
+    StreamPipeline(
+        resumed,
+        plan[resumed.chunks_ingested :],
+        publish=lambda result: published.append(result.chunk),
     ).run()
-    assert time.perf_counter() - started < 5.0
-    assert summary.chunks == 1
-    assert not any(
-        thread.name == "stream-ingest" and thread.is_alive()
-        for thread in threading.enumerate()
-    )
+    # The final drain publishes as chunk -1.
+    assert set(published) - {-1} == {chunk.index for chunk in plan}
+    assert_bit_exact(resumed.result(), _batch_reference("smoke"))
+
+
+def test_pipeline_stop_on_a_periodic_checkpoint_writes_it_once(tmp_path):
+    replay = StreamReplay(_compiled("smoke"))
+    path = checkpoint_path(tmp_path, replay.fingerprint)
+    summary = StreamPipeline(
+        replay,
+        chunk_plan(replay.epochs_total, 25),
+        checkpoint_to=path,
+        checkpoint_every=2,
+        max_chunks=2,
+        finalize=False,
+    ).run()
+    assert summary.checkpoints_written == 1
+    assert load_checkpoint(path).chunks_ingested == 2
 
 
 # --------------------------------------------------------------------- #
