@@ -102,15 +102,22 @@ class ContentionResult:
     """One :meth:`ContentionModel.evaluate_tuples` evaluation, compactly.
 
     Every :class:`SharedResourcePenalty` of one evaluation carries the same
-    five domain-wide values; only the L3 hit fraction differs per workload.
-    This holds the per-workload hit fractions plus the five shared values
-    once: workload ``w``'s penalty is ``SharedResourcePenalty(w,
-    hit_fractions[w], l3_hit_latency_cycles, memory_latency_cycles,
-    ring_utilization, bandwidth_utilization, private_inflation)``.
+    five domain-wide values; only the L3 hit fraction differs per workload,
+    and workloads that share a plan entry share it too.  This holds one hit
+    fraction per entry of the evaluated :class:`ContentionPlan`, the plan's
+    lane map and the five shared values once: workload ``w``'s penalty is
+    ``SharedResourcePenalty(w, hit_fractions[w], l3_hit_latency_cycles,
+    memory_latency_cycles, ring_utilization, bandwidth_utilization,
+    private_inflation)``.  :attr:`hit_fractions`, the workload id -> hit
+    fraction map, is built on first read; a caller that holds the plan
+    reads ``hits`` by entry instead.
     """
 
     __slots__ = (
-        "hit_fractions",
+        "hits",
+        "lanes",
+        "workload_ids",
+        "_hit_fractions",
         "l3_hit_latency_cycles",
         "memory_latency_cycles",
         "ring_utilization",
@@ -120,20 +127,44 @@ class ContentionResult:
 
     def __init__(
         self,
-        hit_fractions: dict[int, float],
+        hits,
         l3_hit_latency_cycles: float,
         memory_latency_cycles: float,
         ring_utilization: float,
         bandwidth_utilization: float,
         private_inflation: float,
+        plan: Optional[ContentionPlan] = None,
     ) -> None:
-        #: Workload id -> fraction of its L3 lookups that hit.
-        self.hit_fractions = hit_fractions
+        """``hits`` lists one L3 hit fraction per entry of ``plan``, or,
+        without a plan, maps workload ids to hit fractions (one entry per
+        workload)."""
+        if plan is None:
+            self._hit_fractions = hits
+            hits = list(hits.values())
+            self.lanes = tuple(range(len(hits)))
+            self.workload_ids = tuple(self._hit_fractions)
+        else:
+            self._hit_fractions = None
+            self.lanes = plan.lanes
+            self.workload_ids = plan.workload_ids
+        #: Per entry: the fraction of its L3 lookups that hit.
+        self.hits = hits
         self.l3_hit_latency_cycles = l3_hit_latency_cycles
         self.memory_latency_cycles = memory_latency_cycles
         self.ring_utilization = ring_utilization
         self.bandwidth_utilization = bandwidth_utilization
         self.private_inflation = private_inflation
+
+    @property
+    def hit_fractions(self) -> dict[int, float]:
+        """Workload id -> fraction of its L3 lookups that hit."""
+        fractions = self._hit_fractions
+        if fractions is None:
+            hits = self.hits
+            fractions = self._hit_fractions = dict(
+                zip(self.workload_ids, [hits[position] for position in self.lanes])
+            )
+        return fractions
 
     def _shared(self) -> tuple:
         return (
@@ -151,12 +182,17 @@ class ContentionResult:
         with :class:`SharedResourcePenalty` equality decides: each workload
         id here must be present in ``previous`` with an equal hit fraction
         and equal shared values (workloads only in ``previous`` do not
-        matter, and an empty result trivially reproduces anything).  Like
-        that comparison, it compares values through tuples and dict views,
-        which treat an object as equal to itself.
+        matter, and an empty result trivially reproduces anything).  Two
+        results of one lane map compare by entry, which decides the same
+        because every entry stands for at least one lane; others compare
+        through dict views.  Like the penalty comparison, both compare
+        through lists, tuples or views, which treat an object as equal to
+        itself.
         """
-        if not self.hit_fractions:
+        if not self.lanes:
             return True
+        if self.lanes is previous.lanes:
+            return self.hits == previous.hits and self._shared() == previous._shared()
         return (
             self.hit_fractions.items() <= previous.hit_fractions.items()
             and self._shared() == previous._shared()
@@ -350,6 +386,36 @@ class ContentionModel:
             tuple([entry[2] for entry in entries]),
         )
 
+    def refresh(self, plan: ContentionPlan, entries: Mapping[int, tuple]) -> ContentionPlan:
+        """``plan`` with some entries replaced and its lane map kept.
+
+        ``entries`` maps entry positions to new ``(workload_id,
+        working_set_mb, solo_l3_hit_fraction)`` tuples (:meth:`plan`'s
+        format; the workload id is not read).  A new entry must have a
+        footprint exactly when the old one had, so the returned plan shares
+        ``plan``'s lane map, workload ids and footprint lists, the same
+        objects, and differs only in the replaced entries' capped needs and
+        solo hit fractions.
+        """
+        capacity_mb = self._cache.capacity_mb
+        needs = list(plan.needs)
+        solo_hits = list(plan.solo_hits)
+        for position, (_, working_set_mb, solo_hit_fraction) in entries.items():
+            if (working_set_mb > 0) != (needs[position] > 0):
+                raise ValueError(
+                    f"entry {position} gains or loses its footprint; build a new plan"
+                )
+            needs[position] = capacity_mb if capacity_mb < working_set_mb else working_set_mb
+            solo_hits[position] = solo_hit_fraction
+        return ContentionPlan(
+            plan.lanes,
+            plan.workload_ids,
+            tuple(needs),
+            plan.footprint,
+            plan.footprint_lanes,
+            tuple(solo_hits),
+        )
+
     def evaluate_tuples(
         self, rates: Sequence[float], plan: ContentionPlan
     ) -> ContentionResult:
@@ -361,12 +427,12 @@ class ContentionModel:
         many times with new rates, builds only the rates per fixed-point
         iteration.  The result is what :meth:`evaluate` returns for the
         plan's workloads, in workload order, each with its entry's demand:
-        one :class:`ContentionResult`, the per-workload hit fractions plus
-        the five values every workload shares.  The arithmetic is the
-        reference's — same operations, same order, the same reduction
-        primitives (``sum()`` where it sums, a ``+=`` loop where it loops),
-        bit-identical results (asserted by the fast-path property tests) —
-        on lists indexed by entry position.  Behavioural changes must be
+        one :class:`ContentionResult`, the per-entry hit fractions with the
+        plan's lane map plus the five values every workload shares.  The
+        arithmetic is the reference's — same operations, same order, the
+        same reduction primitives (``sum()`` where it sums, a ``+=`` loop
+        where it loops), bit-identical results (asserted by the fast-path
+        property tests) — on lists indexed by entry position.  Behavioural changes must be
         made to :meth:`evaluate` (the reference implementation) and
         mirrored here.  ``min``/``max`` are written as the comparisons that
         return exactly what the builtins return.
@@ -449,7 +515,6 @@ class ContentionModel:
         total_dram_bytes = 0.0
         for position in lanes:
             total_dram_bytes += dram_bytes[position]
-        lane_hits = [hits[position] for position in lanes]
 
         ring = self._ring
         memory = self._memory
@@ -461,14 +526,11 @@ class ContentionModel:
             else ring_utilization
         )
         return ContentionResult(
-            dict(zip(plan.workload_ids, lane_hits)),
+            hits,
             ring.latency_at(ring_utilization),
             memory.latency_at(bandwidth_utilization),
             ring_utilization,
             bandwidth_utilization,
             1.0 + self._parameters.private_pressure_sensitivity * pressure,
+            plan,
         )
-
-    def solo_penalty(self, demand: WorkloadDemand) -> SharedResourcePenalty:
-        """Penalties experienced when the workload runs alone on the machine."""
-        return self.evaluate([demand])[demand.workload_id]

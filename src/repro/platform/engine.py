@@ -48,11 +48,14 @@ operations as the reference code:
 
 * **Compact contention results** — the fixed point drives
   :meth:`ContentionModel.evaluate_tuples`, which returns one
-  :class:`ContentionResult` per evaluation (a workload id -> L3 hit
-  fraction map plus the five values all workloads share) instead of one
-  :class:`SharedResourcePenalty` per workload.  Exact convergence is
-  decided by :meth:`ContentionResult.reproduces`, which compares exactly
-  what penalty equality compares.
+  :class:`ContentionResult` per evaluation (one L3 hit fraction per plan
+  entry with the plan's lane map, plus the five values all workloads
+  share) instead of one :class:`SharedResourcePenalty` per workload.  The
+  fixed point, the advancement and the span and steady-demand checks read
+  a result from the current lane map by entry, and look others up in its
+  workload id -> hit fraction map, which is built on first read.  Exact
+  convergence is decided by :meth:`ContentionResult.reproduces`, which
+  compares exactly what penalty equality compares.
 
 * **A cached runnable set** — the runnable (invocation, epoch share,
   occupancy) triples, the busy-thread count and the per-invocation
@@ -63,16 +66,24 @@ operations as the reference code:
   transition.
 
 * **Twin lanes** — each rebuild of the runnable set groups identical
-  traffic-generator lanes into classes (:mod:`repro.platform.twins`); a
-  stepped epoch computes the fixed-point demands and the cursor
-  advancement once per class, and the other lanes of a class take the
-  first lane's result.  Every machine-wide sum still adds one term per
-  lane, in runnable order.
+  traffic-generator lanes with equal histories into classes
+  (:mod:`repro.platform.twins`).  While the classes live, only a class's
+  first lane (its leader) advances its cursor and accumulates its own
+  counters and occupancy, in stepped epochs and spans; the other lanes
+  (twins) add only their terms to the machine-wide sums, one per lane in
+  runnable order, and finish with their leader.  A twin catches up by
+  copying its leader's progress in :meth:`submit` and before the finish
+  listeners run (both then drop the runnable set) and before
+  :meth:`run_epoch`, :meth:`run_for` and :meth:`run_until` return.
 
 * **Contention plans** — the fixed point's inputs other than the
   remaining instructions and the warm start, with the contention model's
-  :class:`ContentionPlan`, are built once per runnable set and phase; an
-  iteration computes one miss rate per row and evaluates the plan.
+  :class:`ContentionPlan`, are built once per runnable set; an iteration
+  computes one miss rate per row and evaluates the plan.  When a row's
+  lane crosses into another phase, only that row and its plan entry are
+  replaced and the plan keeps its lane map; everything is rebuilt at a new
+  frequency or contention model, or when a phase gains or loses its cache
+  footprint.
 
 The fast path can be disabled with ``EngineConfig(fast_path=False)``: that
 reference path collects the runnable set every epoch, derives each profile
@@ -83,7 +94,8 @@ disabled runs produce identical states.
 Callers of :meth:`run_until` must pass predicates that only change when an
 invocation starts or finishes (every predicate in this repository does) —
 a predicate watching raw counters or the clock could otherwise observe
-fewer intermediate epochs than the slow path exposes.
+fewer intermediate epochs than the slow path exposes, and a twin's own
+counters lag its leader's between catch-ups.
 """
 
 from __future__ import annotations
@@ -121,8 +133,8 @@ RunnableSignature = Tuple[int, Tuple[Tuple[int, int, int], ...]]
 #: One epoch's runnable (invocation, epoch share, thread occupancy) triples.
 Runnable = List[Tuple[Invocation, float, int]]
 
-#: One lane's deltas from one epoch: cycles, instructions, stall cycles,
-#: L2 misses, L3 misses and occupied seconds.
+#: One row's (one lane's) deltas from one epoch: cycles, instructions,
+#: stall cycles, L2 misses, L3 misses and occupied seconds.
 EpochDeltas = Tuple[float, float, float, float, float, float]
 
 #: The fast path's warm start before any evaluation.  No workload has a hit
@@ -156,7 +168,7 @@ class FastPathStats:
     spans: int = 0
     fixed_point_evaluations: int = 0
     fixed_point_reuses: int = 0
-    #: Stepped lane-epochs in which a twin took its representative's result.
+    #: Stepped lane-epochs in which a twin stepped as its class's leader.
     twin_lane_epochs: int = 0
 
     @property
@@ -261,28 +273,66 @@ class _SpanInvocationState:
 
 
 class _FixedPointInputs:
-    """The fast fixed point's inputs for one runnable set, frequency, phase
-    of each row and contention model."""
+    """The fast path's inputs for one runnable set, frequency, phase of each
+    row and contention model.
 
-    __slots__ = ("frequency_hz", "cursors", "profiles", "rows", "plan")
+    Row *i* is entry *i* of the plan.  Rows change in place when their
+    lanes cross a phase; the lane map, ``lanes``, ``cursors``,
+    ``lane_entries`` and ``lane_cursors`` live as long as the object.
+    """
+
+    __slots__ = (
+        "frequency_hz",
+        "lanes",
+        "cursors",
+        "profiles",
+        "rows",
+        "plan",
+        "lane_entries",
+        "lane_cursors",
+    )
 
     def __init__(
         self,
         frequency_hz: float,
-        cursors: List[PhaseCursor],
+        lanes: Runnable,
         profiles: List[ResourceProfile],
         rows: List[tuple],
         plan: ContentionPlan,
+        lane_entries: Sequence[Optional[int]],
+        lane_cursors: List[PhaseCursor],
     ) -> None:
         self.frequency_hz = frequency_hz
-        #: The cursors of the rows' lanes, and the profile each stood in.
-        self.cursors = cursors
+        #: The rows' lanes (a twin class's leader), their cursors, and the
+        #: profile each stood in.
+        self.lanes = lanes
+        self.cursors = [invocation.cursor for invocation, _, _ in lanes]
         self.profiles = profiles
         #: One row per lane (per twin class) with a profile: workload id, L2
         #: MPKI, L2 misses per instruction, MLP, base CPI, private
         #: multiplier, cycle budget and the solo stall per instruction.
         self.rows = rows
         self.plan = plan
+        #: For each runnable lane, its row, or ``None`` without a profile.
+        self.lane_entries = lane_entries
+        #: For each runnable lane, the cursor that tells its position: its
+        #: leader's for a twin, its own otherwise.
+        self.lane_cursors = lane_cursors
+
+
+def _row_hits(
+    result: ContentionResult, inputs: _FixedPointInputs
+) -> Sequence[Optional[float]]:
+    """Each row's L3 hit fraction in ``result``.
+
+    Read by entry when ``result`` comes from the rows' lane map (a row
+    refresh keeps it), and otherwise looked up by workload id: ``None``
+    for a row ``result`` does not cover.
+    """
+    if result.lanes is inputs.plan.lanes:
+        return result.hits
+    lookup = result.hit_fractions.get
+    return [lookup(row[0]) for row in inputs.rows]
 
 
 class SimulationEngine:
@@ -443,6 +493,7 @@ class SimulationEngine:
         also transitions the invocation to RUNNING.
         """
         self._span_ready = False
+        self._catch_up()
         self._runnable_set = None
         sandbox = Sandbox(
             sandbox_id=self._next_sandbox_id,
@@ -475,6 +526,11 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def run_epoch(self) -> None:
         """Advance simulated time by one epoch."""
+        self._run_epoch()
+        self._catch_up()
+
+    def _run_epoch(self) -> None:
+        """:meth:`run_epoch` without the twins' catch-up."""
         self._span_ready = False
         self._stats.stepped_epochs += 1
         dt = self._config.epoch_seconds
@@ -565,8 +621,12 @@ class SimulationEngine:
     ) -> List[Invocation]:
         """:meth:`_step` on the fast path; marks the epoch stable if it is.
 
-        Returns the invocations that finished.
+        Advances one lane per row (per twin class) and returns the
+        invocations that finished.
         """
+        inputs = self._current_fixed_point_inputs(
+            runnable, twins, frequency_hz, multipliers
+        )
         # The signature is only needed to look up or store converged
         # results; when the previous epoch did not converge, neither can
         # happen, so the construction is skipped entirely.
@@ -575,11 +635,9 @@ class SimulationEngine:
         result: Optional[ContentionResult] = None
         converged = False
         if cache.converged:
-            signature = self._runnable_signature(runnable, busy_threads)
+            signature = self._runnable_signature(runnable, busy_threads, inputs)
             cached = cache.lookup(signature)
-            if cached is not None and self._steady_demands_hold(
-                runnable, cached, multipliers, frequency_hz
-            ):
+            if cached is not None and self._steady_demands_hold(inputs, cached):
                 # The previous epoch had the same signature and its result
                 # is an exact fixed point, so re-evaluating the contention
                 # model would reproduce it bit for bit.
@@ -587,53 +645,41 @@ class SimulationEngine:
                 converged = True
                 self._stats.fixed_point_reuses += 1
         if result is None:
-            result, converged = self._fixed_point_fast(
-                runnable, twins, frequency_hz, dt, multipliers
-            )
+            result, converged = self._fixed_point_fast(inputs, dt)
             self._stats.fixed_point_evaluations += 1
             if converged:
                 if signature is None:
-                    signature = self._runnable_signature(runnable, busy_threads)
+                    signature = self._runnable_signature(runnable, busy_threads, inputs)
                 cache.store(signature, result, converged)
             else:
                 cache.invalidate()
         self._warm_start = result
+        if twins is not None:
+            self._stats.twin_lane_epochs += len(twins.pairs)
 
-        hit_fractions = result.hit_fractions
         hit_latency = result.l3_hit_latency_cycles
         memory_latency = result.memory_latency_cycles
         inflation = result.private_inflation
         advance = self._advance_cursor
-        leaders = None
-        if twins is not None:
-            leaders = twins.leaders
-            self._stats.twin_lane_epochs += twins.twins
-        lane_deltas: List[Optional[EpochDeltas]] = []
-        for position, (invocation, share_seconds, occupancy) in enumerate(runnable):
-            if leaders is not None and leaders[position] is not None:
-                # A twin: its representative already advanced from the
-                # same position with the same inputs.
-                leader = leaders[position]
-                invocation.cursor.take_position(runnable[leader][0].cursor)
-                lane_deltas.append(lane_deltas[leader])
-                continue
-            hit_fraction = hit_fractions.get(invocation.invocation_id)
+        row_deltas: List[Optional[EpochDeltas]] = []
+        for (invocation, _, _), row, hit_fraction in zip(
+            inputs.lanes, inputs.rows, _row_hits(result, inputs)
+        ):
             if hit_fraction is None:
-                # The invocation had no current profile (already finished).
-                lane_deltas.append(None)
+                row_deltas.append(None)
                 continue
-            lane_deltas.append(
+            row_deltas.append(
                 advance(
                     invocation,
-                    share_seconds * frequency_hz,
+                    row[6],
                     hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency,
                     1.0 - hit_fraction,
                     inflation,
-                    multipliers[invocation.invocation_id],
+                    row[5],
                     frequency_hz,
                 )
             )
-        finished = self._apply_deltas(runnable, lane_deltas, dt, now)
+        finished = self._apply_deltas(runnable, inputs, row_deltas, dt, now)
 
         # The result is an exact fixed point and nothing changed the
         # runnable set this epoch (finish listeners can only fire on
@@ -642,8 +688,8 @@ class SimulationEngine:
         # advancing — a new phase means a new resource profile and
         # therefore new demands.
         if not finished and converged and all(
-            invocation.cursor.phase_index == phase_index
-            for (invocation, _, _), (_, phase_index, _) in zip(runnable, signature[1])
+            cursor.phase_index == phase_index
+            for cursor, (_, phase_index, _) in zip(inputs.lane_cursors, signature[1])
         ):
             self._span_ready = True
             self._last_frequency_hz = frequency_hz
@@ -654,10 +700,13 @@ class SimulationEngine:
         if seconds < 0:
             raise ValueError("seconds must be >= 0")
         target = self._time + seconds
-        while self._time < target - 1e-12:
-            self.run_epoch()
-            if self._span_ready:
-                self._run_stable_span(target, 1e-12)
+        try:
+            while self._time < target - 1e-12:
+                self._run_epoch()
+                if self._span_ready:
+                    self._run_stable_span(target, 1e-12)
+        finally:
+            self._catch_up()
 
     def run_until(
         self,
@@ -672,16 +721,23 @@ class SimulationEngine:
         fast path advances through stable stretches without re-evaluating
         the predicate, which is indistinguishable for such predicates
         because no invocation starts or finishes inside a stable stretch.
+        Between catch-ups a twin lane's own cursor, counters and occupancy
+        lag its leader's (:mod:`repro.platform.twins`), so a predicate that
+        read them would see stale values; every twin is caught up before
+        this returns and before a finish listener runs.
         """
         if max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
         deadline = self._time + max_seconds
-        while self._time < deadline:
-            if predicate(self):
-                return True
-            self.run_epoch()
-            if self._span_ready:
-                self._run_stable_span(deadline, 0.0)
+        try:
+            while self._time < deadline:
+                if predicate(self):
+                    return True
+                self._run_epoch()
+                if self._span_ready:
+                    self._run_stable_span(deadline, 0.0)
+        finally:
+            self._catch_up()
         return predicate(self)
 
     # ------------------------------------------------------------------ #
@@ -689,54 +745,50 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def _runnable_signature(
         self,
-        runnable: Sequence[Tuple[Invocation, float, int]],
+        runnable: Runnable,
         busy_threads: int,
+        inputs: _FixedPointInputs,
     ) -> RunnableSignature:
         return (
             busy_threads,
             tuple(
-                (invocation.invocation_id, invocation.cursor.phase_index, occupancy)
-                for invocation, _, occupancy in runnable
+                (invocation.invocation_id, cursor.phase_index, occupancy)
+                for (invocation, _, occupancy), cursor in zip(
+                    runnable, inputs.lane_cursors
+                )
             ),
         )
 
     def _steady_demands_hold(
-        self,
-        runnable: Runnable,
-        result: ContentionResult,
-        multipliers: Dict[int, float],
-        frequency_hz: float,
+        self, inputs: _FixedPointInputs, result: ContentionResult
     ) -> bool:
         """True when this epoch's fixed-point demands equal the cached ones.
 
         The demand an invocation generates stops matching the cached steady
         state only when its remaining instructions start binding the
         ``min()`` in :meth:`_fixed_point` — i.e. in its final epoch.  The
-        check recomputes the per-epoch instruction intake from the cached
-        result with the exact arithmetic the fixed point uses.
+        check recomputes each row's per-epoch instruction intake from the
+        cached result with the exact arithmetic the fixed point uses; a
+        twin's intake is its leader's.
         """
-        hit_fractions = result.hit_fractions
+        if None in inputs.lane_entries:
+            # A lane without a current profile.
+            return False
         hit_latency = result.l3_hit_latency_cycles
         memory_latency = result.memory_latency_cycles
         inflation = result.private_inflation
-        for invocation, share_seconds, occupancy in runnable:
-            cursor = invocation.cursor
-            profile = cursor.profile
-            if profile is None:
-                return False
-            hit_fraction = hit_fractions.get(invocation.invocation_id)
+        for cursor, row, hit_fraction in zip(
+            inputs.cursors, inputs.rows, _row_hits(result, inputs)
+        ):
             if hit_fraction is None:
                 return False
-            stall_per_inst = (profile.l2_mpki / 1000.0) * (
+            _, _, mpki_per_inst, mlp, cpi_base, multiplier, cycles_available, _ = row
+            stall_per_inst = mpki_per_inst * (
                 (hit_fraction * hit_latency + (1.0 - hit_fraction) * memory_latency)
-                / profile.mlp
+                / mlp
             )
-            cpi_effective = (
-                profile.cpi_base * inflation * multipliers[invocation.invocation_id]
-                + stall_per_inst
-            )
-            possible = share_seconds * frequency_hz / cpi_effective
-            if possible > cursor.instructions_remaining:
+            cpi_effective = cpi_base * inflation * multiplier + stall_per_inst
+            if cycles_available / cpi_effective > cursor.instructions_remaining:
                 return False
         return True
 
@@ -749,23 +801,28 @@ class SimulationEngine:
         phase lookups).  Stops ``_SPAN_MARGIN_EPOCHS`` short of the nearest
         phase boundary so boundary crossings — completions, probe-window
         edges, churn resubmissions — happen on the exact path.  The stable
-        epoch left its runnable set cached and its result as the warm start.
+        epoch left its runnable set and fixed-point inputs cached and its
+        result as the warm start.  Each row's lane (a twin class's leader)
+        replays its own accumulators; the machine's get one term per lane.
         """
         dt = self._config.epoch_seconds
         frequency_hz = self._last_frequency_hz
-        runnable, _, multipliers, _ = self._runnable_set
+        multipliers = self._runnable_set[2]
+        inputs = self._fixed_point_inputs
+        if None in inputs.lane_entries:
+            return
         result = self._warm_start
-        hit_fractions = result.hit_fractions
         hit_latency = result.l3_hit_latency_cycles
         memory_latency = result.memory_latency_cycles
         inflation = result.private_inflation
 
         states: List[_SpanInvocationState] = []
         max_epochs: Optional[int] = None
-        for invocation, share_seconds, occupancy in runnable:
+        for (invocation, share_seconds, occupancy), hit_fraction in zip(
+            inputs.lanes, _row_hits(result, inputs)
+        ):
             cursor = invocation.cursor
             profile = cursor.profile
-            hit_fraction = hit_fractions.get(invocation.invocation_id)
             if profile is None or hit_fraction is None:
                 return
             if (
@@ -826,8 +883,8 @@ class SimulationEngine:
         if epochs < 1:
             return
 
-        # Shared (machine-wide) counters receive one addition per invocation
-        # per epoch, in collection order — replicate that interleaving.
+        # Shared (machine-wide) counters receive one addition per lane per
+        # epoch, in collection order — replicate that interleaving.
         g = self._cpu.global_counters
         g_cycles = g.cycles
         g_instructions = g.instructions
@@ -835,9 +892,10 @@ class SimulationEngine:
         g_l2 = g.l2_misses
         g_l3 = g.l3_misses
         g_switches = g.context_switches
-        deltas = [
+        row_deltas = [
             (s.cycles, s.retired, s.stall, s.l2, s.l3, s.has_switch) for s in states
         ]
+        deltas = [row_deltas[entry] for entry in inputs.lane_entries]
         for _ in range(epochs):
             for cycles, retired, stall, l2, l3, has_switch in deltas:
                 g_cycles += cycles
@@ -979,42 +1037,24 @@ class SimulationEngine:
         return penalties, converged
 
     def _fixed_point_fast(
-        self,
-        runnable: Runnable,
-        twins: Optional[TwinClasses],
-        frequency_hz: float,
-        dt: float,
-        multipliers: Dict[int, float],
+        self, inputs: _FixedPointInputs, dt: float
     ) -> Tuple[ContentionResult, bool]:
         """Bit-identical replica of :meth:`_fixed_point` with hoisted state.
 
         Everything an iteration reads except the remaining instructions and
         the warm start — each row's profile fields, cycle budget, multiplier
-        and solo stall, and the :class:`ContentionPlan` — changes only with
-        the runnable set, the frequency, a row's phase profile or the
-        contention model, so it is built once (:class:`_FixedPointInputs`)
-        and reused until one of those changes.  An epoch reads each row's
+        and solo stall, and the :class:`ContentionPlan` — is ``inputs``
+        (:meth:`_current_fixed_point_inputs`).  An epoch reads each row's
         remaining instructions once; an iteration computes one L2-miss rate
         per row and evaluates the plan at those rates
-        (:meth:`ContentionModel.evaluate_tuples`), and
+        (:meth:`ContentionModel.evaluate_tuples`), reading row *i*'s hit
+        fraction from entry *i* of the previous result, and
         :meth:`ContentionResult.reproduces` decides exact convergence.  With
         twin classes there is one row per class and the plan expands it to
         every lane of the class.  Every arithmetic expression keeps the
         reference implementation's operand order.  Behavioural changes go
         into :meth:`_fixed_point` first.
         """
-        inputs = self._fixed_point_inputs
-        if inputs is None or inputs.frequency_hz != frequency_hz:
-            inputs = self._build_fixed_point_inputs(
-                runnable, twins, frequency_hz, multipliers
-            )
-        else:
-            for cursor, profile in zip(inputs.cursors, inputs.profiles):
-                if cursor.profile is not profile:
-                    inputs = self._build_fixed_point_inputs(
-                        runnable, twins, frequency_hz, multipliers
-                    )
-                    break
         rows = [
             (row, cursor.instructions_remaining)
             for row, cursor in zip(inputs.rows, inputs.cursors)
@@ -1024,15 +1064,13 @@ class SimulationEngine:
         result = initial
         evaluate_tuples = self._cpu.contention.evaluate_tuples
         for _ in range(self._config.fixed_point_iterations):
-            lookup = result.hit_fractions.get
             hit_latency = result.l3_hit_latency_cycles
             memory_latency = result.memory_latency_cycles
             inflation = result.private_inflation
             rates = []
-            for row, remaining in rows:
-                (workload_id, l2_mpki, mpki_per_inst, mlp, cpi_base, multiplier,
+            for (row, remaining), hit_fraction in zip(rows, _row_hits(result, inputs)):
+                (_, l2_mpki, mpki_per_inst, mlp, cpi_base, multiplier,
                  cycles_available, solo_stall_per_inst) = row
-                hit_fraction = lookup(workload_id)
                 if hit_fraction is None:
                     stall_per_inst = solo_stall_per_inst
                     private_inflation = 1.0
@@ -1051,6 +1089,51 @@ class SimulationEngine:
             result = evaluate_tuples(rates, plan)
         return result, result.reproduces(initial)
 
+    def _current_fixed_point_inputs(
+        self,
+        runnable: Runnable,
+        twins: Optional[TwinClasses],
+        frequency_hz: float,
+        multipliers: Dict[int, float],
+    ) -> _FixedPointInputs:
+        """The cached inputs, refreshed for this epoch.
+
+        They are built afresh after a runnable-set or contention-model
+        change, at a new frequency, and when a row's lane lost its profile
+        or its footprint flag (``working_set_mb > 0``) flipped.  A row whose
+        lane crossed into another phase otherwise gets a new row and plan
+        entry in place, and the plan keeps its lane map.
+        """
+        inputs = self._fixed_point_inputs
+        if inputs is None or inputs.frequency_hz != frequency_hz:
+            return self._build_fixed_point_inputs(
+                runnable, twins, frequency_hz, multipliers
+            )
+        for cursor, profile in zip(inputs.cursors, inputs.profiles):
+            if cursor.profile is not profile:
+                break
+        else:
+            return inputs
+        changed: Dict[int, tuple] = {}
+        profiles = inputs.profiles
+        for position, cursor in enumerate(inputs.cursors):
+            profile = cursor.profile
+            old = profiles[position]
+            if profile is old:
+                continue
+            if profile is None or (profile.working_set_mb > 0) != (old.working_set_mb > 0):
+                return self._build_fixed_point_inputs(
+                    runnable, twins, frequency_hz, multipliers
+                )
+            lane = inputs.lanes[position]
+            profiles[position] = profile
+            inputs.rows[position] = self._fixed_point_row(lane, frequency_hz, multipliers)
+            changed[position] = (
+                lane[0].invocation_id, profile.working_set_mb, profile.solo_l3_hit_fraction
+            )
+        inputs.plan = self._cpu.contention.refresh(inputs.plan, changed)
+        return inputs
+
     def _build_fixed_point_inputs(
         self,
         runnable: Runnable,
@@ -1058,49 +1141,63 @@ class SimulationEngine:
         frequency_hz: float,
         multipliers: Dict[int, float],
     ) -> _FixedPointInputs:
-        """Build and cache :meth:`_fixed_point_fast`'s per-phase inputs."""
-        machine = self._cpu.machine
-        solo_hit_latency = machine.l3.latency_cycles
-        solo_memory_latency = machine.memory_latency_cycles
-        lanes = runnable if twins is None else twins.representatives
-        cursors = []
-        profiles = []
-        rows = []
-        entries = []
-        for invocation, share_seconds, occupancy in lanes:
-            cursor = invocation.cursor
-            profile = cursor.profile
-            if profile is None:
-                continue
-            workload_id = invocation.invocation_id
-            l2_mpki = profile.l2_mpki
-            cursors.append(cursor)
-            profiles.append(profile)
-            rows.append(
-                (
-                    workload_id,
-                    l2_mpki,
-                    l2_mpki / 1000.0,
-                    profile.mlp,
-                    profile.cpi_base,
-                    multipliers[workload_id],
-                    share_seconds * frequency_hz,
-                    profile.solo_stall_cycles_per_instruction(
-                        solo_hit_latency, solo_memory_latency
-                    ),
-                )
-            )
-            entries.append(
-                (workload_id, profile.working_set_mb, profile.solo_l3_hit_fraction)
-            )
+        """Build and cache :meth:`_fixed_point_fast`'s inputs."""
+        if twins is None:
+            lanes: Runnable = []
+            lane_entries: List[Optional[int]] = []
+            for lane in runnable:
+                if lane[0].cursor.profile is None:
+                    lane_entries.append(None)
+                else:
+                    lane_entries.append(len(lanes))
+                    lanes.append(lane)
+        else:
+            lanes = twins.leaders
+            lane_entries = twins.lane_classes
+        profiles = [invocation.cursor.profile for invocation, _, _ in lanes]
+        rows = [self._fixed_point_row(lane, frequency_hz, multipliers) for lane in lanes]
+        entries = [
+            (row[0], profile.working_set_mb, profile.solo_l3_hit_fraction)
+            for row, profile in zip(rows, profiles)
+        ]
         contention = self._cpu.contention
         if twins is None:
             plan = contention.plan(entries)
         else:
             plan = contention.plan(entries, twins.classes, twins.workload_ids)
-        inputs = _FixedPointInputs(frequency_hz, cursors, profiles, rows, plan)
+        lane_cursors = [
+            invocation.cursor if entry is None else lanes[entry][0].cursor
+            for (invocation, _, _), entry in zip(runnable, lane_entries)
+        ]
+        inputs = _FixedPointInputs(
+            frequency_hz, lanes, profiles, rows, plan, lane_entries, lane_cursors
+        )
         self._fixed_point_inputs = inputs
         return inputs
+
+    def _fixed_point_row(
+        self,
+        lane: Tuple[Invocation, float, int],
+        frequency_hz: float,
+        multipliers: Dict[int, float],
+    ) -> tuple:
+        """One row of :class:`_FixedPointInputs` for ``lane`` in its phase."""
+        invocation, share_seconds, _ = lane
+        profile = invocation.cursor.profile
+        machine = self._cpu.machine
+        l2_mpki = profile.l2_mpki
+        return (
+            invocation.invocation_id,
+            l2_mpki,
+            l2_mpki / 1000.0,
+            profile.mlp,
+            profile.cpi_base,
+            multipliers[invocation.invocation_id],
+            share_seconds * frequency_hz,
+            profile.solo_stall_cycles_per_instruction(
+                machine.l3.latency_cycles, machine.memory_latency_cycles
+            ),
+        )
 
     def _advance_cursor(
         self,
@@ -1167,7 +1264,8 @@ class SimulationEngine:
     def _apply_deltas(
         self,
         runnable: Runnable,
-        lane_deltas: List[Optional[EpochDeltas]],
+        inputs: _FixedPointInputs,
+        row_deltas: List[Optional[EpochDeltas]],
         dt: float,
         now: float,
     ) -> List[Invocation]:
@@ -1175,15 +1273,19 @@ class SimulationEngine:
 
         With :meth:`_advance_cursor`, a bit-identical replica of
         :meth:`_advance_invocation` and the probe-window bookkeeping of its
-        caller.  ``lane_deltas`` holds one entry per runnable lane, ``None``
-        for a lane without a current profile.  Every accumulator gets one
-        addition per lane, in runnable order.  The invocation counters take
-        direct attribute additions (``PMUCounters.observe`` validates seven
-        already non-negative values per call, which is pure overhead on
-        this path); the machine counters run in locals, written back before
-        a probe-window snapshot reads them and at the end, so the split
-        from :meth:`_advance_cursor` costs a lane no extra call.  Returns
-        the invocations that finished.
+        caller.  ``row_deltas`` holds one entry per row of ``inputs``,
+        ``None`` for a row that did not advance; each lane takes its row's.
+        Every machine accumulator gets one addition per lane, in runnable
+        order.  A twin adds nothing to its own accumulators: its leader
+        accumulates for the class until the twin catches up
+        (:meth:`_catch_up`), and it finishes when its leader does.  The
+        invocation counters take direct attribute additions
+        (``PMUCounters.observe`` validates seven already non-negative values
+        per call, which is pure overhead on this path); the machine counters
+        run in locals, written back before a probe-window snapshot reads
+        them and at the end, so the split from :meth:`_advance_cursor`
+        costs a lane no extra call.  Returns the invocations that finished,
+        in runnable order.
         """
         machine = self._cpu.global_counters
         machine_cycles = machine.cycles
@@ -1192,29 +1294,38 @@ class SimulationEngine:
         machine_l2 = machine.l2_misses
         machine_l3 = machine.l3_misses
         machine_switches = machine.context_switches
+        leaders = inputs.lanes
         finished: List[Invocation] = []
-        for (invocation, _, occupancy), deltas in zip(runnable, lane_deltas):
+        for (invocation, _, occupancy), entry in zip(runnable, inputs.lane_entries):
+            if entry is None:
+                continue
+            deltas = row_deltas[entry]
             if deltas is None:
                 continue
             cycles, instructions, stall, l2_misses, l3_misses, occupied_seconds = deltas
-            counters = invocation.counters
-            counters.cycles += cycles
-            counters.instructions += instructions
-            counters.stall_cycles_l2_miss += stall
-            counters.l2_misses += l2_misses
-            counters.l3_misses += l3_misses
             machine_cycles += cycles
             machine_instructions += instructions
             machine_stall += stall
             machine_l2 += l2_misses
             machine_l3 += l3_misses
             if occupancy > 1:
-                counters.context_switches += 1.0
                 machine_switches += 1.0
+            leader = leaders[entry][0]
+            if leader is not invocation:
+                # A twin: its leader accumulates for it until it catches up.
+                if leader.cursor.profile is None:
+                    finished.append(invocation)
+                continue
+            counters = invocation.counters
+            counters.cycles += cycles
+            counters.instructions += instructions
+            counters.stall_cycles_l2_miss += stall
+            counters.l2_misses += l2_misses
+            counters.l3_misses += l3_misses
+            if occupancy > 1:
+                counters.context_switches += 1.0
             counters.elapsed_seconds += occupied_seconds
-            # Inlined observe_occupancy (occupancy >= 1 and dt > 0 by construction).
-            invocation._occupancy_weighted_sum += occupancy * dt
-            invocation._occupancy_weight += dt
+            invocation.observe_occupancy(occupancy, dt)
 
             cursor = invocation.cursor
             if (
@@ -1313,8 +1424,17 @@ class SimulationEngine:
         )
         invocation.observe_occupancy(occupancy, dt)
 
+    def _catch_up(self) -> None:
+        """Copy each twin's progress from its leader
+        (:mod:`repro.platform.twins`); the runnable set stays."""
+        runnable_set = self._runnable_set
+        if runnable_set is not None and runnable_set[3] is not None:
+            for twin, leader in runnable_set[3].pairs:
+                twin.take_progress(leader)
+
     def _finish(self, invocation: Invocation) -> None:
         self._span_ready = False
+        self._catch_up()
         self._runnable_set = None
         thread_id = invocation.thread_id
         if thread_id is not None:

@@ -118,6 +118,32 @@ class Invocation:
         self._occupancy_weighted_sum = weighted
         self._occupancy_weight = weight
 
+    def progress_key(self) -> tuple:
+        """Everything stepping accumulates on this invocation, as one value:
+        the cursor's phase and position, the seven counters and the two
+        occupancy accumulators.  :meth:`take_progress` between invocations
+        with equal keys changes nothing."""
+        return (
+            self.cursor.phase_index,
+            *self.cursor.span_snapshot(),
+            *vars(self.counters).values(),
+            self._occupancy_weighted_sum,
+            self._occupancy_weight,
+        )
+
+    def take_progress(self, other: "Invocation") -> None:
+        """Copy ``other``'s progress (:meth:`progress_key`'s fields) onto this.
+
+        For the engine's twin lanes, which catch up from their leader
+        (:mod:`repro.platform.twins`).  The caller must guarantee that
+        stepping this invocation would have computed exactly ``other``'s
+        values, as :meth:`PhaseCursor.take_position` requires.
+        """
+        self.cursor.take_position(other.cursor)
+        vars(self.counters).update(vars(other.counters))
+        self._occupancy_weighted_sum = other._occupancy_weighted_sum
+        self._occupancy_weight = other._occupancy_weight
+
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #

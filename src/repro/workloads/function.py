@@ -170,12 +170,6 @@ class PhaseCursor:
         return None if phase is None else phase.profile
 
     @property
-    def in_startup(self) -> bool:
-        """True while the invocation is still inside the probe window."""
-        phase = self.current_phase
-        return phase is not None and phase.kind is PhaseKind.STARTUP
-
-    @property
     def startup_complete(self) -> bool:
         """True once every STARTUP phase has fully retired."""
         if self._spec.is_traffic_generator:
@@ -212,11 +206,12 @@ class PhaseCursor:
     def take_position(self, other: "PhaseCursor") -> None:
         """Move to ``other``'s position: phase, progress into it and profile.
 
-        For the engine's twin lanes: a twin takes its representative's
-        position once the representative has advanced through the epoch.
-        The caller must guarantee that the two cursors stood at equal
-        positions before, with equal phase lists from there on, so the
-        copy is exactly what advancing this cursor would have computed.
+        For the engine's twin lanes: a twin takes its leader's position
+        when it catches up (:meth:`Invocation.take_progress`).  The caller
+        must guarantee that the two cursors stood at equal positions at the
+        last catch-up, with equal phase lists from there on and equal
+        advances since, so the copy is exactly what advancing this cursor
+        would have computed.
         """
         self._phase_index = other._phase_index
         self._instructions_into_phase = other._instructions_into_phase

@@ -25,9 +25,14 @@ def model():
     return ContentionModel(CASCADE_LAKE_5218)
 
 
+def solo(model, workload):
+    """The penalty ``workload`` experiences running alone."""
+    return model.evaluate([workload])[workload.workload_id]
+
+
 class TestSoloBehaviour:
     def test_solo_penalty_close_to_unloaded(self, model):
-        penalty = model.solo_penalty(demand(1, rate=1e6, ws=4.0))
+        penalty = solo(model, demand(1, rate=1e6, ws=4.0))
         assert penalty.l3_hit_fraction == pytest.approx(0.8, abs=0.01)
         assert penalty.l3_hit_latency_cycles == pytest.approx(
             CASCADE_LAKE_5218.l3.latency_cycles, rel=0.05
@@ -35,12 +40,12 @@ class TestSoloBehaviour:
         assert penalty.private_inflation == pytest.approx(1.0, abs=0.01)
 
     def test_stall_cycles_per_miss_mixes_hit_and_miss_latency(self, model):
-        penalty = model.solo_penalty(demand(1, rate=1e6, ws=4.0))
+        penalty = solo(model, demand(1, rate=1e6, ws=4.0))
         stall = penalty.stall_cycles_per_l2_miss(mlp=1.0)
         assert penalty.l3_hit_latency_cycles < stall < penalty.memory_latency_cycles
 
     def test_mlp_divides_stall(self, model):
-        penalty = model.solo_penalty(demand(1))
+        penalty = solo(model, demand(1))
         assert penalty.stall_cycles_per_l2_miss(4.0) == pytest.approx(
             penalty.stall_cycles_per_l2_miss(1.0) / 4.0
         )

@@ -477,15 +477,7 @@ def test_evaluate_tuples_matches_evaluate(raw, data):
     )
 
 
-@given(contention_entries, contention_entries, st.integers(min_value=0, max_value=16))
-@settings(max_examples=60, deadline=None)
-def test_reproduces_decides_like_penalty_equality(raw_a, raw_b, overlap):
-    """Convergence on compact results == comparing the penalty maps."""
-    # ``raw_b`` shares a prefix of ``raw_a``'s workloads (same ids, same
-    # demands) so equal results occur, not just disjoint ones.
-    raw_b = raw_a[:overlap] + raw_b
-    previous = _evaluate(raw_a)
-    current = _evaluate(raw_b)
+def _assert_reproduces_like_penalties(previous, current):
     previous_penalties = {i: _penalty(previous, i) for i in previous.hit_fractions}
     current_penalties = {i: _penalty(current, i) for i in current.hit_fractions}
     for newer, older, older_penalties in (
@@ -497,6 +489,37 @@ def test_reproduces_decides_like_penalty_equality(raw_a, raw_b, overlap):
         )
         assert newer.reproduces(older) == expected
     assert previous.reproduces(previous)
+
+
+@given(
+    contention_entries,
+    contention_entries,
+    st.integers(min_value=0, max_value=16),
+    class_entries,
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_reproduces_decides_like_penalty_equality(raw_a, raw_b, overlap, shared, data):
+    """Convergence on compact results == comparing the penalty maps, for
+    results of two plans (compared by workload) and of one plan (compared
+    by entry)."""
+    # ``raw_b`` shares a prefix of ``raw_a``'s workloads (same ids, same
+    # demands) so equal results occur, not just disjoint ones.
+    _assert_reproduces_like_penalties(_evaluate(raw_a), _evaluate(raw_a[:overlap] + raw_b))
+
+    # One plan, with and without twins, at two rate vectors that share a
+    # prefix of their rates.
+    repeats = data.draw(
+        st.lists(st.integers(min_value=0, max_value=len(shared) - 1), max_size=8)
+    )
+    for classes in (None, data.draw(st.permutations(list(range(len(shared))) + repeats))):
+        plan = _plan(shared, classes)
+        rates = [rate for rate, _, _, _ in shared]
+        other = rates[:overlap] + [rate for rate, _, _, _ in raw_b] + rates
+        previous = _MODEL.evaluate_tuples(rates, plan)
+        current = _MODEL.evaluate_tuples(other[: len(rates)], plan)
+        assert current.lanes is previous.lanes
+        _assert_reproduces_like_penalties(previous, current)
 
 
 #: An L2-miss rate; zero is frequent.
@@ -532,3 +555,43 @@ def test_one_plan_serves_every_rate_vector(shared, twins, data):
             _demands([(rates[position],) + shared[position][1:] for position in lanes])
         )
         _assert_same_penalties(_MODEL.evaluate_tuples(rates, plan), expected)
+
+
+@given(class_entries, class_entries, st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_refreshed_plan_evaluates_like_a_fresh_one(shared, replacements, twins, data):
+    """Replacing plan entries that keep their footprint flag (the engine's
+    row refresh) keeps the lane map and evaluates, bit for bit, like the
+    reference at the new entries; an entry that gains or loses its
+    footprint is refused."""
+    classes = None
+    lanes = list(range(len(shared)))
+    if twins:
+        repeats = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(shared) - 1), max_size=8)
+        )
+        classes = lanes = data.draw(st.permutations(lanes + repeats))
+    plan = _plan(shared, classes)
+    positions = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(shared) - 1),
+            unique=True,
+            max_size=len(replacements),
+        )
+    )
+    new = list(shared)
+    changes = {}
+    for position, (_, ws, hit, _) in zip(positions, replacements):
+        if (ws > 0) != (shared[position][1] > 0):
+            try:
+                _MODEL.refresh(plan, {position: (position, ws, hit)})
+            except ValueError:
+                continue
+            raise AssertionError("a footprint flip was accepted")
+        new[position] = (shared[position][0], ws, hit, shared[position][3])
+        changes[position] = (position, ws, hit)
+    refreshed = _MODEL.refresh(plan, changes)
+    assert refreshed.lanes is plan.lanes
+    rates = [rate for rate, _, _, _ in shared]
+    expected = _MODEL.evaluate(_demands([new[position] for position in lanes]))
+    _assert_same_penalties(_MODEL.evaluate_tuples(rates, refreshed), expected)

@@ -103,9 +103,10 @@ class TestPhaseCursor:
         spec = make_spec()
         cursor = PhaseCursor(spec)
         assert not cursor.startup_complete
-        while cursor.in_startup:
+        while not cursor.startup_complete:
+            assert cursor.current_phase.kind is PhaseKind.STARTUP
             cursor.advance(cursor.phase_instructions_remaining())
-        assert cursor.startup_complete
+        assert cursor.current_phase.kind is not PhaseKind.STARTUP
         assert cursor.instructions_retired == pytest.approx(spec.startup_instructions)
 
     def test_run_to_completion(self):
