@@ -37,11 +37,15 @@ low: each invocation's float state is one column of one block
 (``_state``), gathered with one ``take`` and written back with one
 scatter; phase profiles come from one flat table with one ``take``; an
 advancement pass gathers and scatters its lanes once; the machine
-counters fold in one offset ``np.bincount``.  The utility-curve ``pow``
-runs once per distinct coverage value (about 48 of 73 lanes in the
-stream-billing benchmark, 327 of 5,760 in fleet-sweep, where per-lane
-``pow`` would cost 5,760 libm calls).  docs/backends.md gives measured
-per-epoch costs.
+counters fold in one offset ``np.bincount``.  What an epoch derives from
+the thread layout alone (machines, frequencies, cycle budgets, switching
+multipliers) is one lane plan, rebuilt only when a run-queue length or a
+frequency scale changes, so churn that resubmits on the finishing thread
+reuses it.  The utility-curve ``pow`` is one ``math.pow`` per lane below
+``_DEDUPE_POW_LANES`` lanes (72-76 in the stream-billing benchmark), and
+at or above it once per distinct coverage value (327 of 5,760 lanes in
+fleet-sweep), where sorting out the repeats costs less than the libm calls
+it saves.  docs/backends.md gives measured per-epoch costs.
 
 Limitations (gated with explicit errors): SMT sharing domains are not
 supported; randomness must live outside the engine, exactly as with the
@@ -53,12 +57,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.hardware.frequency import FrequencyGovernor, FrequencyPolicy
-from repro.hardware.contention import ContentionParameters
+from repro.hardware.contention import ContentionModel, ContentionParameters
 from repro.hardware.pmu import CounterSnapshot
 from repro.hardware.topology import MachineSpec
 from repro.platform.invoker import Invocation
@@ -87,6 +91,12 @@ _COLUMN_ARRAYS = (
     "end_column",
     "_state",
 )
+
+#: Lane count from which ``_water_fill`` takes the utility curve's ``pow``
+#: once per distinct coverage value instead of once per lane.  Finding the
+#: distinct values costs about a dozen NumPy calls; below this many lanes
+#: the libm calls they save cost less (docs/backends.md has the timings).
+_DEDUPE_POW_LANES = 256
 
 #: Listener called when an invocation completes.  Receives the materialized
 #: :class:`Invocation` handle (or the bare invocation index when the engine
@@ -117,6 +127,34 @@ class VectorEngineStats:
     advance_passes: int = 0
     submissions: int = 0
     completions: int = 0
+    #: Lane plans built: one each time an epoch steps under a changed thread
+    #: layout (run-queue lengths), after a frequency-scale change, or after
+    #: a restore.
+    lane_plans: int = 0
+
+
+class _LanePlan(NamedTuple):
+    """What an epoch derives from the thread layout, by runnable position:
+    the machine, the frequency, the cycle budget (``dt / occupancy *
+    frequency``), the switching multiplier, the context-switch row
+    (``occupancy > 1``), the occupancy-weighted epoch (``occupancy * dt``),
+    the bins of the machine counters' offset ``np.bincount``, and whether
+    every budget exceeds one cycle (then the first advancement pass needs
+    no gather).
+
+    Runnable positions visit the threads in order, so equal run-queue
+    lengths put every position on the same thread and machine, and the plan
+    stays valid while churn swaps the invocations on them.
+    """
+
+    m_of: np.ndarray
+    frequency: np.ndarray
+    cycles_available: np.ndarray
+    multiplier: np.ndarray
+    switches: np.ndarray
+    occupied_dt: np.ndarray
+    counter_bins: np.ndarray
+    full_budgets: bool
 
 
 class _SpecTable:
@@ -280,6 +318,10 @@ class VectorEngine:
         self._queues: List[List[int]] = [[] for _ in range(total_threads)]
         self._order: np.ndarray = np.zeros(0, dtype=np.int64)
         self._order_dirty = True
+        # The lane plan of the current thread layout, and that layout (each
+        # thread's run-queue length); see ``_lane_plan``.
+        self._plan: Optional[_LanePlan] = None
+        self._layout: Optional[Tuple[int, ...]] = None
 
         # Derived machine constants.
         self._capacity_mb = machine.l3.size_mb
@@ -425,6 +467,8 @@ class VectorEngine:
             if scale == 1.0:
                 return
             self._freq_scale = np.ones(self._machines)
+        # The lane plan holds the scaled frequencies.
+        self._plan = None
         for machine in machines:
             if not 0 <= machine < self._machines:
                 raise ValueError(f"machine index {machine} out of range")
@@ -443,9 +487,10 @@ class VectorEngine:
         evaluates under the new coefficients.  The derived per-epoch
         constants are recomputed here; nothing else in the engine bakes
         them in, so both backends stay in lockstep when drift is applied
-        at the same segment boundary.
+        at the same segment boundary.  Coefficients the scalar
+        :class:`ContentionModel` refuses raise its ``ValueError``.
         """
-        self._parameters = parameters or ContentionParameters()
+        self._parameters = ContentionModel(self._machine, parameters).parameters
         self._utility_exponent = self._parameters.cache_utility_exponent
         self._max_util = self._parameters.max_utilization
         self._queueing = np.array(
@@ -492,7 +537,14 @@ class VectorEngine:
         for name in _COLUMN_ARRAYS:
             state[name] = state[name][..., :width]
         state["_capacity"] = width
+        # The lane plan is derived state; the first epoch rebuilds it.
+        del state["_plan"], state["_layout"]
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._plan = None
+        self._layout = None
 
     # ------------------------------------------------------------------ #
     # Storage management
@@ -628,12 +680,15 @@ class VectorEngine:
 
         This is the order the scalar engine's ``_collect_runnable`` visits
         invocations in; per-machine reductions accumulate in this order so
-        their floating-point folds match the scalar sums.
+        their floating-point folds match the scalar sums.  A rebuild keeps
+        the lane plan only if every run-queue length is unchanged.
         """
         if self._order_dirty:
             order = [index for queue in self._queues for index in queue]
             self._order = np.array(order, dtype=np.int64)
             self._order_dirty = False
+            if self._plan is not None and tuple(map(len, self._queues)) != self._layout:
+                self._plan = None
         return self._order
 
     def _switch_factor_table(self, max_occupancy: int) -> np.ndarray:
@@ -678,6 +733,38 @@ class VectorEngine:
             freqs *= self._freq_scale
         return freqs
 
+    def _lane_plan(self, idx: np.ndarray) -> _LanePlan:
+        """The lane plan of the runnable ``idx``, built if there is none.
+
+        Kept until a rebuild of the runnable order finds a changed thread
+        layout (:meth:`_runnable_order`) or a frequency scale changes.
+        """
+        plan = self._plan
+        if plan is not None:
+            return plan
+        self._stats.lane_plans += 1
+        dt = self._config.epoch_seconds
+        m_of = self.machine_of[idx]
+        gthread = self.gthread[idx]
+        occ_per_thread = np.bincount(
+            gthread, minlength=self._machines * self._threads_per_machine
+        )
+        occ = occ_per_thread[gthread]
+        frequency = self._frequency_hz(occ_per_thread)[m_of]
+        cycles_available = dt / occ * frequency
+        plan = self._plan = _LanePlan(
+            m_of=m_of,
+            frequency=frequency,
+            cycles_available=cycles_available,
+            multiplier=self._switch_factor_table(int(occ.max()))[occ],
+            switches=occ > 1,
+            occupied_dt=occ * dt,
+            counter_bins=(self._counter_bins + m_of).ravel(),
+            full_budgets=np.count_nonzero(cycles_available > 1.0) == idx.size,
+        )
+        self._layout = tuple(map(len, self._queues))
+        return plan
+
     def run_epoch(self) -> None:
         """Advance the whole fleet by one epoch."""
         self._stats.epochs += 1
@@ -690,15 +777,16 @@ class VectorEngine:
             self._time = now
             return
         machines = self._machines
-        m_of = self.machine_of[idx]
-        gthread = self.gthread[idx]
-        occ_per_thread = np.bincount(
-            gthread, minlength=machines * self._threads_per_machine
-        )
-        occ = occ_per_thread[gthread]
-        frequency = self._frequency_hz(occ_per_thread)[m_of]
-        cycles_available = dt / occ * frequency
-        multiplier = self._switch_factor_table(int(occ.max()))[occ]
+        (
+            m_of,
+            frequency,
+            cycles_available,
+            multiplier,
+            switches,
+            occupied_dt,
+            counter_bins,
+            full_budgets,
+        ) = self._lane_plan(idx)
 
         # Every runnable invocation is mid-execution, so its phase column is
         # a valid one (finished invocations left the queues).
@@ -737,7 +825,10 @@ class VectorEngine:
             )
             # Row 0: the ring, row 1: memory; one column per machine.
             load = np.array((lookups, dram_bytes))
-            util = np.minimum(np.maximum(load / self._peaks, 0.0), self._max_util)
+            # Loads are non-negative: every hit fraction is at most one
+            # (``set_contention_parameters`` refuses a utility exponent
+            # outside (0, 1]) and the peaks are positive.
+            util = np.minimum(load / self._peaks, self._max_util)
             latency = self._base_latency * (
                 1.0 + self._queueing * util / (1.0 - util)
             )
@@ -766,7 +857,7 @@ class VectorEngine:
         sub = lanes
         p_mpki = l2_mpki
         for pass_no in range(self._specs.max_phases + 2):
-            if pass_no or np.count_nonzero(cycles_available > 1.0) < n:
+            if pass_no or not full_budgets:
                 # Some lane is out of budget, finished or at the end of its
                 # probe window, or a phase moved: gather the lanes that
                 # still advance, at their current phase.
@@ -801,11 +892,11 @@ class VectorEngine:
                 lanes[:, live] = sub
 
         counters = lanes[3:]
-        counters[5] = occ > 1
+        counters[5] = switches
         np.divide(counters[0], frequency, out=counters[6])
         state[_INTO : _RETIRED + 1] = lanes[:2]
         state[_CTR : _CTR + 7] += counters
-        state[_OCC_WEIGHTED] += occ * dt
+        state[_OCC_WEIGHTED] += occupied_dt
         state[_OCC_WEIGHT] += dt
         # Startup (Litmus probe) completions must snapshot the machine-wide
         # counters exactly as the scalar engine does: mid-epoch, after the
@@ -821,7 +912,7 @@ class VectorEngine:
             self._record_startups(probed.nonzero()[0], idx, m_of, counters, now)
 
         self._m_counters += np.bincount(
-            (self._counter_bins + m_of).ravel(),
+            counter_bins,
             weights=counters[:6].ravel(),
             minlength=6 * machines,
         ).reshape(6, machines)
@@ -874,42 +965,48 @@ class VectorEngine:
                 capacity * rate / np.where(total_rate[m_of] > 0, total_rate[m_of], 1.0)
             )
             capped = wf_active & (share >= need)
-        if np.count_nonzero(capped):
-            alloc = self._water_fill_slow(rate, need, m_of, wf_active)
-        elif active == n:
-            alloc = share
+        any_capped = np.count_nonzero(capped)
+        if active == n and not any_capped:
+            # Here 0 <= share < need, so the coverage lies in [0, 1] as is.
+            coverage = share / need
         else:
-            alloc = np.where(wf_active, share, 0.0)
-        if active == n:
-            coverage = np.minimum(np.maximum(alloc / need, 0.0), 1.0)
-        else:
-            coverage = np.minimum(
-                np.maximum(alloc / np.where(wf_active, need, 1.0), 0.0), 1.0
-            )
+            if any_capped:
+                alloc = self._water_fill_slow(rate, need, m_of, wf_active)
+            else:
+                alloc = np.where(wf_active, share, 0.0)
+            divisor = need if active == n else np.where(wf_active, need, 1.0)
+            coverage = np.minimum(np.maximum(alloc / divisor, 0.0), 1.0)
         # The utility curve is the one transcendental in the per-epoch chain.
         # NumPy's SIMD ``power`` rounds differently from libm ``pow`` (the
         # scalar engine's ``**``) in ~5 % of cases, and a 1-ulp penalty
         # difference drifts the accumulated instruction counters onto the
         # scalar engine's exact startup-boundary comparisons — so coverage
         # goes through ``math.pow`` instead (full coverage gives exactly
-        # 1.0, and inactive lanes are dropped below).  Coverage values
-        # repeat (invocations running the same phase of the same spec on a
-        # machine share rate and need bit for bit), so pow runs once per
-        # distinct value: sort, flag each value that differs from its
-        # neighbour, and number the runs with a cumulative sum.
-        order = coverage.argsort()
-        ordered = coverage[order]
-        distinct = np.empty(n, dtype=bool)
-        distinct[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-        values = ordered[distinct]
-        powered = np.fromiter(
-            map(math.pow, values.tolist(), repeat(self._utility_exponent)),
-            dtype=float,
-            count=values.size,
-        )
-        curve = np.empty(n)
-        curve[order] = powered[distinct.cumsum() - 1]
+        # 1.0, and inactive lanes are dropped below).
+        exponent = self._utility_exponent
+        if n < _DEDUPE_POW_LANES:
+            curve = np.fromiter(
+                map(math.pow, coverage.tolist(), repeat(exponent)), dtype=float, count=n
+            )
+        else:
+            # Coverage values repeat (invocations running the same phase of
+            # the same spec on a machine share rate and need bit for bit),
+            # so pow runs once per distinct value: sort, flag each value
+            # that differs from its neighbour, and number the runs with a
+            # cumulative sum.
+            order = coverage.argsort()
+            ordered = coverage[order]
+            distinct = np.empty(n, dtype=bool)
+            distinct[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+            values = ordered[distinct]
+            powered = np.fromiter(
+                map(math.pow, values.tolist(), repeat(exponent)),
+                dtype=float,
+                count=values.size,
+            )
+            curve = np.empty(n)
+            curve[order] = powered[distinct.cumsum() - 1]
         if active == n:
             return solo_hit * curve
         return np.where(wf_active, solo_hit * curve, solo_hit)
@@ -1026,8 +1123,8 @@ class VectorEngine:
             counters.context_switches,
             counters.elapsed_seconds,
         ) = column[_CTR : _CTR + 7]
-        handle._occupancy_weighted_sum = column[_OCC_WEIGHTED]
-        handle._occupancy_weight = column[_OCC_WEIGHT]
+        handle.occupancy_weighted_sum = column[_OCC_WEIGHTED]
+        handle.occupancy_weight = column[_OCC_WEIGHT]
 
     def _finish(self, finished_indices: np.ndarray) -> None:
         """Retire finished invocations and fire listeners in runnable order."""

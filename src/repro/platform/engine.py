@@ -943,8 +943,15 @@ class SimulationEngine:
     # Internals
     # ------------------------------------------------------------------ #
     def _collect_runnable(self, dt: float) -> Tuple[Runnable, int, Dict[int, float]]:
-        """Runnable triples, busy-thread count and private multipliers."""
+        """Runnable triples, busy-thread count and private multipliers.
+
+        A lane's private-execution multiplier (temporal sharing times SMT
+        inflation) depends only on its thread, since every queued
+        invocation was started on the thread whose queue holds it, so each
+        busy thread derives it once.
+        """
         runnable: Runnable = []
+        multipliers: Dict[int, float] = {}
         busy_threads = 0
         invocations = self._invocations
         running = InvocationState.RUNNING
@@ -954,22 +961,14 @@ class SimulationEngine:
             busy_threads += 1
             occupancy = len(thread.run_queue)
             share = dt / occupancy
+            multiplier = self._switching_overhead.factor(occupancy)
+            multiplier *= self._cpu.smt_private_penalty(thread.thread_id)
             for invocation_id in list(thread.run_queue):
                 invocation = invocations[invocation_id]
                 if invocation.state is running:
                     runnable.append((invocation, share, occupancy))
-        multipliers = {
-            invocation.invocation_id: self._private_multiplier(invocation, occupancy)
-            for invocation, _, occupancy in runnable
-        }
+                    multipliers[invocation_id] = multiplier
         return runnable, busy_threads, multipliers
-
-    def _private_multiplier(self, invocation: Invocation, occupancy: int) -> float:
-        """Private-execution inflation from temporal sharing and SMT."""
-        multiplier = self._switching_overhead.factor(occupancy)
-        if invocation.thread_id is not None:
-            multiplier *= self._cpu.smt_private_penalty(invocation.thread_id)
-        return multiplier
 
     def _fixed_point(
         self,
@@ -1279,9 +1278,10 @@ class SimulationEngine:
         order.  A twin adds nothing to its own accumulators: its leader
         accumulates for the class until the twin catches up
         (:meth:`_catch_up`), and it finishes when its leader does.  The
-        invocation counters take direct attribute additions
-        (``PMUCounters.observe`` validates seven already non-negative values
-        per call, which is pure overhead on this path); the machine counters
+        invocation counters and occupancy accumulators take direct attribute
+        additions (``PMUCounters.observe`` and
+        ``Invocation.observe_occupancy`` validate already valid values on
+        every call, which is pure overhead on this path); the machine counters
         run in locals, written back before a probe-window snapshot reads
         them and at the end, so the split from :meth:`_advance_cursor`
         costs a lane no extra call.  Returns the invocations that finished,
@@ -1325,7 +1325,8 @@ class SimulationEngine:
             if occupancy > 1:
                 counters.context_switches += 1.0
             counters.elapsed_seconds += occupied_seconds
-            invocation.observe_occupancy(occupancy, dt)
+            invocation.occupancy_weighted_sum += occupancy * dt
+            invocation.occupancy_weight += dt
 
             cursor = invocation.cursor
             if (

@@ -49,9 +49,11 @@ class Invocation:
     machine_counters_at_startup_end: Optional[CounterSnapshot] = None
 
     # Average number of invocations sharing this invocation's hardware
-    # thread while it ran (used by Method 1's switching-overhead calibration).
-    _occupancy_weighted_sum: float = 0.0
-    _occupancy_weight: float = 0.0
+    # thread while it ran (used by Method 1's switching-overhead calibration):
+    # the sum of occupancy times seconds, and the seconds.  Public so that
+    # the engines can update them without a checked call per lane-epoch.
+    occupancy_weighted_sum: float = 0.0
+    occupancy_weight: float = 0.0
 
     def __post_init__(self) -> None:
         self.cursor = PhaseCursor(self.spec)
@@ -97,8 +99,8 @@ class Invocation:
             raise ValueError("occupancy must be >= 1 while running")
         if weight_seconds < 0:
             raise ValueError("weight_seconds must be >= 0")
-        self._occupancy_weighted_sum += occupancy * weight_seconds
-        self._occupancy_weight += weight_seconds
+        self.occupancy_weighted_sum += occupancy * weight_seconds
+        self.occupancy_weight += weight_seconds
 
     def span_observe_occupancy(
         self, occupancy: int, weight_seconds: float, epochs: int
@@ -110,13 +112,13 @@ class Invocation:
         epoch-by-epoch path bit for bit.
         """
         increment = occupancy * weight_seconds
-        weighted = self._occupancy_weighted_sum
-        weight = self._occupancy_weight
+        weighted = self.occupancy_weighted_sum
+        weight = self.occupancy_weight
         for _ in range(epochs):
             weighted += increment
             weight += weight_seconds
-        self._occupancy_weighted_sum = weighted
-        self._occupancy_weight = weight
+        self.occupancy_weighted_sum = weighted
+        self.occupancy_weight = weight
 
     def progress_key(self) -> tuple:
         """Everything stepping accumulates on this invocation, as one value:
@@ -127,8 +129,8 @@ class Invocation:
             self.cursor.phase_index,
             *self.cursor.span_snapshot(),
             *vars(self.counters).values(),
-            self._occupancy_weighted_sum,
-            self._occupancy_weight,
+            self.occupancy_weighted_sum,
+            self.occupancy_weight,
         )
 
     def take_progress(self, other: "Invocation") -> None:
@@ -141,8 +143,8 @@ class Invocation:
         """
         self.cursor.take_position(other.cursor)
         vars(self.counters).update(vars(other.counters))
-        self._occupancy_weighted_sum = other._occupancy_weighted_sum
-        self._occupancy_weight = other._occupancy_weight
+        self.occupancy_weighted_sum = other.occupancy_weighted_sum
+        self.occupancy_weight = other.occupancy_weight
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -162,9 +164,9 @@ class Invocation:
     @property
     def mean_thread_occupancy(self) -> float:
         """Average number of functions sharing the thread while this ran."""
-        if self._occupancy_weight <= 0:
+        if self.occupancy_weight <= 0:
             return 1.0
-        return self._occupancy_weighted_sum / self._occupancy_weight
+        return self.occupancy_weighted_sum / self.occupancy_weight
 
     @property
     def occupied_seconds(self) -> float:

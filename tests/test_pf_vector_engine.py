@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.hardware.contention import ContentionModel, ContentionParameters
 from repro.hardware.cpu import CPU
 from repro.hardware.frequency import FrequencyPolicy
 from repro.hardware.pmu import CounterSnapshot
@@ -50,6 +51,53 @@ class TestVectorEngineConfig:
             engine.submit(spec, machine=1)
         with pytest.raises(ValueError):
             engine.submit(spec, thread_id=10_000)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache_utility_exponent", 0.0),
+            ("cache_utility_exponent", -0.5),
+            ("max_utilization", 1.0),
+            ("ring_queueing_coefficient", -1.0),
+        ],
+    )
+    def test_refuses_the_contention_parameters_the_scalar_refuses(self, field, value):
+        parameters = ContentionParameters(**{field: value})
+        with pytest.raises(ValueError) as scalar:
+            ContentionModel(CASCADE_LAKE_5218, parameters)
+        with pytest.raises(ValueError) as built:
+            VectorEngine(CASCADE_LAKE_5218, contention_parameters=parameters)
+        engine = VectorEngine(CASCADE_LAKE_5218)
+        with pytest.raises(ValueError) as drifted:
+            engine.set_contention_parameters(parameters)
+        assert str(built.value) == str(drifted.value) == str(scalar.value)
+
+
+class TestLanePlans:
+    def test_one_plan_per_thread_layout(self, registry):
+        """Churn that resubmits on the finishing thread keeps the thread
+        layout and so the lane plan; a frequency-scale change and a new
+        layout each build one."""
+        specs = (registry.get("auth-py"), registry.get("fib-go"))
+        engine = VectorEngine(CASCADE_LAKE_5218)
+        for thread in range(4):
+            for spec in specs:
+                engine.submit(spec, thread_id=thread)
+        engine.add_finish_listener(
+            lambda handle, eng: eng.submit(handle.spec, thread_id=handle.thread_id)
+        )
+        engine.run_for(0.3)
+        assert engine.stats.completions >= 20
+        assert engine.stats.lane_plans == 1
+
+        engine.set_frequency_scale(0, 0.8)
+        engine.run_for(0.05)
+        assert engine.stats.lane_plans == 2
+
+        engine.submit(specs[0], thread_id=0)
+        engine.run_for(0.05)
+        assert engine.stats.lane_plans == 3
 
 
 class TestSoloAgreement:

@@ -18,6 +18,7 @@ from repro.hardware.contention import ContentionModel, WorkloadDemand
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.batch import VectorEngine
+from repro.platform.batch.vector_engine import _DEDUPE_POW_LANES
 from repro.platform.engine import EngineConfig, SimulationEngine
 from repro.platform.scheduler import LeastOccupancyScheduler
 from repro.workloads.function import FunctionSpec
@@ -166,30 +167,78 @@ def test_utility_curve_matches_python_pow(coverage, exponent):
 
 
 def test_water_fill_matches_on_multiple_machines():
-    """Per-machine water-fill equals running the scalar model per machine."""
+    """Per-machine water-fill equals running the scalar model per machine.
+
+    The second fleet is past ``_DEDUPE_POW_LANES``, where the utility
+    curve's ``pow`` runs once per distinct coverage value; each of its
+    machines repeats a few demands, so that coverage values repeat.
+    """
     rng = np.random.default_rng(42)
-    machines = 3
-    per_machine = 9
     model = SharedCacheModel(capacity_mb=CASCADE_LAKE_5218.l3.size_mb)
+    large = _DEDUPE_POW_LANES // 8 + 8
+    for machines, per_machine, distinct in ((3, 9, 9), (8, large, 5)):
+        engine = VectorEngine(CASCADE_LAKE_5218, machines=machines)
+        rates, needs, hits, m_of, expected = [], [], [], [], []
+        for machine in range(machines):
+            drawn = [
+                (
+                    float(rng.uniform(0, 2e9)),
+                    float(rng.uniform(0, 60)),
+                    float(rng.uniform(0, 1)),
+                )
+                for _ in range(distinct)
+            ]
+            demands = [
+                CacheDemand(
+                    workload_id=i,
+                    request_rate=drawn[i % distinct][0],
+                    working_set_mb=drawn[i % distinct][1],
+                    solo_hit_fraction=drawn[i % distinct][2],
+                )
+                for i in range(per_machine)
+            ]
+            allocations = model.allocate(demands)
+            for demand in demands:
+                rates.append(demand.request_rate)
+                needs.append(min(demand.working_set_mb, CASCADE_LAKE_5218.l3.size_mb))
+                hits.append(demand.solo_hit_fraction)
+                m_of.append(machine)
+                expected.append(allocations[demand.workload_id].hit_fraction)
+        result = engine._water_fill(
+            np.array(rates), np.array(needs), np.array(hits), np.array(m_of)
+        )
+        assert result.tolist() == expected
+
+
+@given(cache_entries)
+@settings(max_examples=40, deadline=None)
+def test_large_fleet_water_fill_is_bit_exact_vs_contention_model(raw):
+    """Past ``_DEDUPE_POW_LANES`` lanes, each machine's hit fractions equal
+    ``ContentionModel``'s for that machine's demands.  Every machine runs
+    the drawn entries, rotated by its index, so coverage values repeat."""
+    model = ContentionModel(CASCADE_LAKE_5218)
+    machines = -(-_DEDUPE_POW_LANES // len(raw))
     engine = VectorEngine(CASCADE_LAKE_5218, machines=machines)
     rates, needs, hits, m_of, expected = [], [], [], [], []
     for machine in range(machines):
+        shift = machine % len(raw)
         demands = [
-            CacheDemand(
-                workload_id=i,
-                request_rate=float(rng.uniform(0, 2e9)),
-                working_set_mb=float(rng.uniform(0, 60)),
-                solo_hit_fraction=float(rng.uniform(0, 1)),
+            WorkloadDemand(
+                workload_id=index,
+                l2_miss_rate=rate,
+                working_set_mb=ws,
+                solo_l3_hit_fraction=hit,
             )
-            for i in range(per_machine)
+            for index, (rate, ws, hit) in enumerate(raw[shift:] + raw[:shift])
         ]
-        allocations = model.allocate(demands)
+        penalties = model.evaluate(demands)
         for demand in demands:
-            rates.append(demand.request_rate)
+            rates.append(demand.l2_miss_rate)
             needs.append(min(demand.working_set_mb, CASCADE_LAKE_5218.l3.size_mb))
-            hits.append(demand.solo_hit_fraction)
+            hits.append(demand.solo_l3_hit_fraction)
             m_of.append(machine)
-            expected.append(allocations[demand.workload_id].hit_fraction)
+            expected.append(penalties[demand.workload_id].l3_hit_fraction)
+    assert len(rates) >= _DEDUPE_POW_LANES
     result = engine._water_fill(
         np.array(rates), np.array(needs), np.array(hits), np.array(m_of)
     )
