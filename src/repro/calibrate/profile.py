@@ -20,9 +20,10 @@ built-in testbed machines alike.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.hardware.contention import ContentionParameters
 from repro.hardware.topology import (
@@ -184,6 +185,8 @@ def _require(table: Dict[str, Any], key: str, kind: type, where: str) -> Any:
         raise ProfileError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
+    if kind is float and not math.isfinite(value):
+        raise ProfileError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 
 

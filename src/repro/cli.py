@@ -155,37 +155,16 @@ def _command_run(args: argparse.Namespace) -> int:
     return _run_sweep(args)
 
 
-def _parse_positive_int_list(value: str, flag: str) -> list:
-    """Parse a comma-separated positive-integer flag, naming bad tokens."""
-    items = []
-    for token in value.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            number = int(token)
-        except ValueError:
-            raise ValueError(
-                f"invalid {flag} value {token!r}: expected a positive integer "
-                f"(comma-separated, e.g. '1,2,4')"
-            ) from None
-        if number < 1:
-            raise ValueError(f"invalid {flag} value {token!r}: must be >= 1")
-        items.append(number)
-    if not items:
-        raise ValueError(f"{flag} must list at least one positive integer")
-    return items
-
-
-#: Grid/engine flags a --spec file supersedes.  They are declared with
-#: ``default=None`` so "explicitly passed" is simply "not None" — the
-#: effective defaults below apply only to flag-driven sweeps.
-_SPEC_CONFLICT_FLAGS = (
+#: Grid and engine flags, each with the ScenarioSpec field it sets.  They
+#: default to None, so "passed" is "not None": without --spec the passed
+#: flags become an in-memory spec (every other field keeps the
+#: ScenarioSpec default); with --spec any of them is a conflict.
+_GRID_FLAGS = (
     ("--mixes", "mixes"),
     ("--machines", "machines"),
-    ("--colocation", "colocation"),
-    ("--cores", "cores"),
-    ("--horizon", "horizon"),
+    ("--colocation", "colocations"),
+    ("--cores", "cores_per_machine"),
+    ("--horizon", "horizon_seconds"),
     ("--epoch-seconds", "epoch_seconds"),
     ("--registry-scale", "registry_scale"),
     ("--seed", "seed"),
@@ -206,99 +185,101 @@ def _append_bench(
     print(f"[trajectory appended to {written}]")
 
 
+def _shard_seconds(run) -> list:
+    return [round(timing.wall_seconds, 4) for timing in run.shard_timings]
+
+
+def _report_sweep(runs: Sequence[Any], *, compare: bool, faulted: bool):
+    """Print a sweep's passes; return its BENCH figures and extras.
+
+    ``runs`` are the passes in order: ``[baseline, faulted]`` for a
+    faulted spec, ``[vector, scalar]`` with ``--compare``, else one run.
+    """
+    from repro.scenarios import DegradationReport
+
+    # The faulted pass, or --compare's vector pass, is the one reported.
+    reported = runs[0] if compare else runs[-1]
+    print(reported.render())
+    figures = {
+        f"fleet-sweep-{run.result.backend}": run.wall_seconds
+        for run in (runs if compare else [reported])
+    }
+    extra: Dict[str, Any] = {
+        "backend": "compare" if compare else reported.result.backend,
+        "completed": reported.completed,
+        "shards": reported.shards,
+        "shard_seconds": _shard_seconds(reported),
+    }
+    done = f"{reported.completed} invocations completed in {reported.wall_seconds:.2f}s wall"
+    where = f"[{reported.result.backend}, {reported.shards} shard(s)]"
+    if faulted:
+        baseline = runs[0]
+        report = DegradationReport.build(baseline.result, reported.result)
+        print(report.render())
+        print(f"{done} (+{baseline.wall_seconds:.2f}s baseline) {where}")
+        extra.update(
+            baseline_completed=baseline.completed,
+            baseline_wall_seconds=round(baseline.wall_seconds, 4),
+            fault_report=report.to_dict(),
+        )
+    elif compare:
+        scalar = runs[1]
+        speedup = scalar.wall_seconds / max(reported.wall_seconds, 1e-9)
+        print(scalar.render())
+        print(
+            f"vector {reported.wall_seconds:.2f}s vs scalar fast-path "
+            f"{scalar.wall_seconds:.2f}s -> {speedup:.1f}x speedup "
+            f"[{reported.shards} shard(s)]"
+        )
+        extra.update(
+            speedup=round(speedup, 2),
+            scalar_completed=scalar.completed,
+            scalar_shard_seconds=_shard_seconds(scalar),
+        )
+    else:
+        print(f"{done} {where}")
+    return figures, extra
+
+
 def _command_sweep(args: argparse.Namespace) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.hardware.topology import CASCADE_LAKE_5218
-    from repro.platform.batch import FleetSweep, run_sharded, scenario_grid
+    from repro.platform.batch import run_sharded
     from repro.scenarios import (
-        DegradationReport,
+        ScenarioSpec,
         SpecError,
         compile_spec,
         load_spec_or_preset,
     )
 
-    spec = None
-    compiled = None
-    if args.spec is not None:
-        conflicts = [
-            flag
-            for flag, attribute in _SPEC_CONFLICT_FLAGS
-            if getattr(args, attribute) is not None
-        ]
-        if conflicts:
-            print(
-                f"{', '.join(conflicts)} conflict with --spec: the spec file "
-                f"defines the grid and engine settings (see docs/scenarios.md)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            spec = load_spec_or_preset(args.spec)
-            compiled = compile_spec(spec)
-        except SpecError as error:
-            print(error, file=sys.stderr)
-            return 2
-        scenarios = list(compiled.scenarios)
-        machine = compiled.machine
-        horizon = spec.horizon_seconds
-        epoch_seconds = spec.epoch_seconds
-        registry_scale = spec.registry_scale
-        backend = args.backend or spec.backend
-        shards = args.shards if args.shards is not None else spec.shards
-        fleet_size = compiled.fleet_size
-    else:
-        machine = CASCADE_LAKE_5218
-        horizon = args.horizon if args.horizon is not None else 2.0
-        epoch_seconds = args.epoch_seconds if args.epoch_seconds is not None else 1e-3
-        registry_scale = (
-            args.registry_scale if args.registry_scale is not None else 0.1
+    passed = {
+        field: getattr(args, field)
+        for _, field in _GRID_FLAGS
+        if getattr(args, field) is not None
+    }
+    if args.spec is not None and passed:
+        conflicts = [flag for flag, field in _GRID_FLAGS if field in passed]
+        print(
+            f"{', '.join(conflicts)} conflict with --spec: the spec file "
+            f"defines the grid and engine settings (see docs/scenarios.md)",
+            file=sys.stderr,
         )
-        seed = args.seed if args.seed is not None else 2024
-        backend = args.backend or "vector"
-        shards = args.shards if args.shards is not None else 1
-        try:
-            machine_counts = _parse_positive_int_list(
-                args.machines or "1", "--machines"
-            )
-            colocations = _parse_positive_int_list(
-                args.colocation or "1", "--colocation"
-            )
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-        mixes = [part.strip() for part in (args.mixes or "all").split(",") if part.strip()]
-        if not mixes:
-            print(
-                "--mixes is empty; valid mixes: all, memory-intensive, or "
-                "function abbreviations joined with '+' (see 'python -m repro "
-                "registry' for the function list)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            scenarios = scenario_grid(
-                mixes,
-                machine_counts,
-                colocations,
-                cores_per_machine=args.cores,
-                seed=seed,
-            )
-            sweep = FleetSweep(
-                scenarios,
-                machine=machine,
-                horizon_seconds=horizon,
-                epoch_seconds=epoch_seconds,
-                registry_scale=registry_scale,
-            )
-            sweep.validate()
-            fleet_size = sweep.fleet_size
-        except (ValueError, KeyError) as error:
-            message = error.args[0] if error.args else error
-            print(message, file=sys.stderr)
-            return 2
+        return 2
+    try:
+        if args.spec is None:
+            spec = ScenarioSpec(name="sweep", **passed)
+        else:
+            spec = load_spec_or_preset(args.spec)
+        compiled = compile_spec(spec)
+    except SpecError as error:
+        print(error, file=sys.stderr)
+        return 2
+    backend = args.backend or spec.backend
+    shards = spec.shards if args.shards is None else args.shards
+    # The spec's name is shown and recorded only when it came from a file.
+    spec_tag = {} if args.spec is None else {"spec": spec.name}
 
-    has_faults = compiled is not None and compiled.has_faults
+    has_faults = compiled.has_faults
     if args.compare and has_faults:
         print(
             f"--compare is not supported for fault-carrying specs "
@@ -307,12 +288,23 @@ def _command_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if has_faults:
+        # Faulted sweeps run twice on the same grid: once with the faults
+        # stripped (the pricing-accuracy baseline), once as declared.
+        passes = [
+            (backend, compiled.without_faults(), "base:"),
+            (backend, compiled, "fault:"),
+        ]
+    elif args.compare:
+        passes = [("vector", compiled, ""), ("scalar", compiled, "")]
+    else:
+        passes = [(backend, compiled, "")]
 
     print(
-        f"fleet sweep: {len(scenarios)} scenario(s), "
-        f"{fleet_size} concurrent invocations, "
-        f"{horizon:g}s horizon, {shards} shard(s)"
-        + (f" [spec: {spec.name}]" if spec is not None else "")
+        f"fleet sweep: {len(compiled.scenarios)} scenario(s), "
+        f"{compiled.fleet_size} concurrent invocations, "
+        f"{spec.horizon_seconds:g}s horizon, {shards} shard(s)"
+        + (f" [spec: {spec.name}]" if spec_tag else "")
         + (" [faults]" if has_faults else ""),
         flush=True,
     )
@@ -325,106 +317,39 @@ def _command_sweep(args: argparse.Namespace) -> int:
             "phase": "sweep",
             "backend": backend,
             "shards": shards,
-            "scenarios": len(scenarios),
-            **({"spec": spec.name} if spec is not None else {}),
+            "scenarios": len(compiled.scenarios),
+            **spec_tag,
         },
         out_path=args.metrics_out,
         enabled=args.metrics or args.metrics_out is not None,
         progress=True,
         processes=shards > 1,
     )
-
-    def execute(run_backend: str, scenario_list=None, *, meter=False, label=""):
-        return run_sharded(
-            scenarios if scenario_list is None else scenario_list,
-            shards=shards,
-            backend=run_backend,
-            machine=machine,
-            horizon_seconds=horizon,
-            epoch_seconds=epoch_seconds,
-            registry_scale=registry_scale,
-            meter=meter,
-            metrics_queue=telemetry.queue,
-            metrics_label=label,
-            trace=telemetry.context(),
-            series_budget=args.series_budget or None,
-        )
-
-    figures = {}
-    extra = {
-        "fleet_size": fleet_size,
-        "horizon_seconds": horizon,
-        "registry_scale": registry_scale,
-        "scenarios": [scenario.name for scenario in scenarios],
+    figures: Dict[str, float] = {}
+    extra: Dict[str, Any] = {
+        "fleet_size": compiled.fleet_size,
+        "horizon_seconds": spec.horizon_seconds,
+        "registry_scale": spec.registry_scale,
+        "scenarios": [scenario.name for scenario in compiled.scenarios],
+        **spec_tag,
     }
-    if spec is not None:
-        extra["spec"] = spec.name
     worker_died = False
     with telemetry:
         try:
-            if has_faults:
-                # Faulted sweeps run twice on the same grid: once with the faults
-                # stripped (the pricing-accuracy baseline), once as declared.
-                baseline = execute(backend, compiled.without_faults().scenarios,
-                                   meter=True, label="base:")
-                faulted = execute(backend, meter=True, label="fault:")
-                report = DegradationReport.build(baseline.result, faulted.result)
-                print(faulted.render())
-                print(report.render())
-                print(
-                    f"{faulted.completed} invocations completed in "
-                    f"{faulted.wall_seconds:.2f}s wall (+{baseline.wall_seconds:.2f}s "
-                    f"baseline) [{faulted.result.backend}, {faulted.shards} shard(s)]"
+            runs = [
+                run_sharded(
+                    grid.sweep(meter=has_faults),
+                    shards=shards,
+                    backend=run_backend,
+                    metrics_queue=telemetry.queue,
+                    metrics_label=label,
+                    trace=telemetry.context(),
+                    series_budget=args.series_budget or None,
                 )
-                figures[f"fleet-sweep-{faulted.result.backend}"] = faulted.wall_seconds
-                extra.update(
-                    backend=faulted.result.backend,
-                    completed=faulted.completed,
-                    baseline_completed=baseline.completed,
-                    shards=faulted.shards,
-                    shard_seconds=[round(t.wall_seconds, 4) for t in faulted.shard_timings],
-                    baseline_wall_seconds=round(baseline.wall_seconds, 4),
-                    fault_report=report.to_dict(),
-                )
-            elif args.compare:
-                vector = execute("vector")
-                scalar = execute("scalar")
-                speedup = scalar.wall_seconds / max(vector.wall_seconds, 1e-9)
-                print(vector.render())
-                print(scalar.render())
-                print(
-                    f"vector {vector.wall_seconds:.2f}s vs scalar fast-path "
-                    f"{scalar.wall_seconds:.2f}s -> {speedup:.1f}x speedup "
-                    f"[{vector.shards} shard(s)]"
-                )
-                figures["fleet-sweep-vector"] = vector.wall_seconds
-                figures["fleet-sweep-scalar"] = scalar.wall_seconds
-                extra.update(
-                    backend="compare",
-                    speedup=round(speedup, 2),
-                    completed=vector.completed,
-                    scalar_completed=scalar.completed,
-                    shards=vector.shards,
-                    shard_seconds=[round(t.wall_seconds, 4) for t in vector.shard_timings],
-                    scalar_shard_seconds=[
-                        round(t.wall_seconds, 4) for t in scalar.shard_timings
-                    ],
-                )
-            else:
-                result = execute(backend)
-                print(result.render())
-                print(
-                    f"{result.completed} invocations completed in "
-                    f"{result.wall_seconds:.2f}s wall "
-                    f"[{result.result.backend}, {result.shards} shard(s)]"
-                )
-                figures[f"fleet-sweep-{result.result.backend}"] = result.wall_seconds
-                extra.update(
-                    backend=result.result.backend,
-                    completed=result.completed,
-                    shards=result.shards,
-                    shard_seconds=[round(t.wall_seconds, 4) for t in result.shard_timings],
-                )
+                for run_backend, grid, label in passes
+            ]
+            figures, outcome = _report_sweep(runs, compare=args.compare, faulted=has_faults)
+            extra.update(outcome)
         except BrokenProcessPool:  # killed or out of memory: close metrics, then fail
             worker_died = True
     extra.update(telemetry.extras)
@@ -472,6 +397,7 @@ def _command_stream(args: argparse.Namespace) -> int:
     from repro import diskcache
     from repro.scenarios import (
         SpecError,
+        TraceChunk,
         chunk_plan,
         compile_spec,
         load_spec_or_preset,
@@ -517,20 +443,18 @@ def _command_stream(args: argparse.Namespace) -> int:
 
     # Chunks pace the replay but never change it, so a resumed run may
     # re-chunk the remaining epochs with any --chunk-epochs: the partition
-    # is rebuilt over what is left, not sliced out of the original plan.
-    remaining_epochs = max(replay.epochs_total - replay.epochs_done, 0)
-    plan = (
-        chunk_plan(remaining_epochs, args.chunk_epochs) if remaining_epochs else []
-    )
+    # is rebuilt over what is left, not sliced out of the original plan,
+    # and numbered on from the chunks already ingested.
+    done, ingested = replay.epochs_done, replay.chunks_ingested
+    remaining_epochs = max(replay.epochs_total - done, 0)
+    plan = [
+        TraceChunk(ingested + c.index, done + c.start_epoch, done + c.end_epoch)
+        for c in chunk_plan(remaining_epochs, args.chunk_epochs)
+    ] if remaining_epochs else []
     print(
         f"stream replay: spec {spec.name!r}, {replay.epochs_total} epochs, "
         f"{len(plan)} chunk(s) of {args.chunk_epochs}"
-        + (
-            f" [resumed at epoch {replay.epochs_done}, "
-            f"chunk {replay.chunks_ingested}]"
-            if resumed
-            else ""
-        ),
+        + (f" [resumed at epoch {done}, chunk {ingested}]" if resumed else ""),
         flush=True,
     )
 
@@ -883,6 +807,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a finite float flag that must be above zero."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _series_budget(text: str) -> int:
     """argparse type of ``--series-budget``: 0 (off) or at least 2 points."""
     try:
@@ -905,6 +837,19 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
+
+    return parse
+
+
+def _list_of(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """argparse type of a comma-separated list flag: a non-empty tuple of
+    ``item`` values (blank entries are skipped)."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(item(token.strip()) for token in text.split(",") if token.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
 
     return parse
 
@@ -1047,41 +992,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--mixes",
+        type=_list_of(str),
         default=None,
         help="comma-separated traffic mixes: all, memory-intensive, or "
         "explicit function lists joined with '+' (default: all)",
     )
     sweep_parser.add_argument(
         "--machines",
+        type=_list_of(_int_at_least(1)),
         default=None,
         help="comma-separated machine counts per scenario (default: 1)",
     )
     sweep_parser.add_argument(
         "--colocation",
+        dest="colocations",
+        metavar="COLOCATION",
+        type=_list_of(_int_at_least(1)),
         default=None,
         help="comma-separated functions-per-thread levels (default: 1)",
     )
     sweep_parser.add_argument(
         "--cores",
-        type=int,
+        dest="cores_per_machine",
+        metavar="CORES",
+        type=_int_at_least(1),
         default=None,
         help="cores hosting functions per machine (default: all cores)",
     )
     sweep_parser.add_argument(
         "--horizon",
-        type=_finite_float,
+        dest="horizon_seconds",
+        metavar="HORIZON",
+        type=_positive_float,
         default=None,
         help="simulated seconds per scenario (default: 2.0)",
     )
     sweep_parser.add_argument(
         "--epoch-seconds",
-        type=_finite_float,
+        type=_positive_float,
         default=None,
         help="epoch length in simulated seconds (default: 1e-3)",
     )
     sweep_parser.add_argument(
         "--registry-scale",
-        type=_finite_float,
+        type=_positive_float,
         default=None,
         help="body-length scale applied to every function (default: 0.1)",
     )
@@ -1242,14 +1196,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate_parser.add_argument(
         "--window",
-        type=int,
+        type=_int_at_least(1),
         default=48,
         help="sliding MAPE window depth in epochs, and the probe window "
         "length (default: 48)",
     )
     calibrate_parser.add_argument(
         "--epochs-per-round",
-        type=int,
+        type=_int_at_least(1),
         default=16,
         help="epochs measured per drift-check round (default: 16)",
     )
@@ -1321,7 +1275,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_parser.add_argument("file", help="enveloped metrics JSONL file")
     summarize_parser.add_argument(
         "--top",
-        type=int,
+        type=_int_at_least(0),
         default=10,
         help="how many slowest spans to list (default: 10)",
     )

@@ -31,7 +31,6 @@ from repro.platform.batch.sweep import (
     ScenarioResult,
     VectorDrive,
     resolve_mix,
-    scenario_grid,
 )
 from repro.platform.batch.shard import (
     ShardTiming,
@@ -63,7 +62,6 @@ __all__ = [
     "ScenarioResult",
     "VectorDrive",
     "resolve_mix",
-    "scenario_grid",
     "ShardTiming",
     "ShardedSweepResult",
     "partition_scenarios",

@@ -6,8 +6,10 @@ but a *grid* of scenarios is embarrassingly parallel across scenarios: every
 machine's churn stream is seeded by the scenario's own seed plus the
 machine's index within its scenario, so no scenario's numbers depend on
 which other scenarios share the engine.  :func:`run_sharded` exploits that —
-it partitions a compiled grid into shards, runs one fleet (one
-``VectorEngine`` or one scalar loop) per shard on a
+it takes a :class:`FleetSweep`, partitions its grid into shards, runs the
+sweep narrowed to each shard's scenarios (:meth:`FleetSweep.narrowed`:
+same machine, horizon, epoch, registry, scale and metering) as one fleet
+(one ``VectorEngine`` or one scalar loop) per shard on a
 :class:`~concurrent.futures.ProcessPoolExecutor`, and merges the per-shard
 results back into the original scenario order.
 
@@ -46,7 +48,6 @@ from repro.platform.batch.sweep import (
     ProgressCallback,
     ScenarioResult,
 )
-from repro.workloads.registry import FunctionRegistry
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,10 @@ class _ShardJob:
     """Everything one worker process needs to simulate its shard."""
 
     shard: int
-    scenarios: Tuple[FleetScenario, ...]
-    machine: MachineSpec
-    horizon_seconds: float
-    epoch_seconds: float
-    registry_scale: float
+    #: The sweep narrowed to this shard's scenarios (picklable: frozen
+    #: specs, the scaled registry and plain settings).
+    sweep: FleetSweep
     backend: str
-    #: Optional custom registry (specs are frozen dataclasses: picklable).
-    registry: Optional[FunctionRegistry] = None
-    #: Meter every scenario (not just fault-carrying ones).
-    meter: bool = False
     #: Manager queue proxy for live metrics; None disables emission.
     metrics_queue: Optional[Any] = None
     metrics_interval: float = 0.5
@@ -180,15 +175,6 @@ def _run_shard(job: _ShardJob) -> Tuple[int, FleetSweepResult]:
     The shard span is closed ``root=True``: it carries this worker's
     ``obs_overhead_seconds``, which the parent folds into the run root.
     """
-    sweep = FleetSweep(
-        job.scenarios,
-        machine=job.machine,
-        horizon_seconds=job.horizon_seconds,
-        epoch_seconds=job.epoch_seconds,
-        registry=job.registry,
-        registry_scale=job.registry_scale,
-        meter=job.meter,
-    )
     tracer = None
     span = None
     if job.trace is not None and job.metrics_queue is not None:
@@ -200,12 +186,12 @@ def _run_shard(job: _ShardJob) -> Tuple[int, FleetSweepResult]:
             tags={
                 "phase": "shard",
                 "shard": job.shard,
-                "scenarios": len(job.scenarios),
+                "scenarios": len(job.sweep.scenarios),
                 "backend": job.backend,
             },
         )
     try:
-        result = sweep.run(job.backend, progress=_shard_progress(job))
+        result = job.sweep.run(job.backend, progress=_shard_progress(job))
     finally:
         if tracer is not None and span is not None:
             tracer.finish(span, root=True)
@@ -213,36 +199,30 @@ def _run_shard(job: _ShardJob) -> Tuple[int, FleetSweepResult]:
 
 
 def run_sharded(
-    scenarios: Sequence[FleetScenario],
+    sweep: FleetSweep,
     *,
     shards: int = 1,
     backend: str = "vector",
-    machine: MachineSpec = CASCADE_LAKE_5218,
-    horizon_seconds: float = 2.0,
-    epoch_seconds: float = 1e-3,
-    registry_scale: float = 0.1,
-    registry: Optional[FunctionRegistry] = None,
     max_workers: Optional[int] = None,
-    meter: bool = False,
     metrics_queue: Optional[Any] = None,
     metrics_interval: float = 0.5,
     metrics_label: str = "",
     trace: Optional[SpanContext] = None,
     series_budget: Optional[int] = None,
 ) -> ShardedSweepResult:
-    """Run a scenario grid partitioned across worker processes.
+    """Run a sweep's grid partitioned across worker processes.
 
-    The grid is split with :func:`partition_scenarios`; each shard becomes
-    one :class:`FleetSweep` in its own process (``backend`` selects the
-    vector or scalar engine inside every shard).  Results come back merged
-    into the original scenario order, identical to the single-process run.
+    The grid is split with :func:`partition_scenarios`; each shard runs
+    ``sweep`` :meth:`~FleetSweep.narrowed` to its scenarios in its own
+    process, with the sweep's machine, horizon, epoch, registry, scale and
+    metering (``backend`` selects the vector or scalar engine inside every
+    shard).  Results come back merged into the original scenario order,
+    identical to ``sweep.run(backend)``.
 
-    ``registry`` replaces the default Table-1 registry in every worker
-    (it is pickled into the shard jobs).  ``max_workers`` caps concurrent
-    processes (default: the shard count, bounded by the CPU count);
-    lowering it only queues shards, it cannot change any result.
+    ``max_workers`` caps concurrent processes (default: the shard count,
+    bounded by the CPU count); lowering it only queues shards, it cannot
+    change any result.
 
-    ``meter`` bills every scenario (fault-carrying scenarios always bill).
     ``metrics_queue`` — typically a ``multiprocessing.Manager().Queue()``
     proxy, which pickles into workers — turns on live progress snapshots:
     each shard emits :class:`~repro.obs.metrics.ProgressSnapshot` objects at
@@ -258,18 +238,13 @@ def run_sharded(
     ring-buffered to that many points.  Both are observability-only.
     """
     start = time.perf_counter()
-    parts = partition_scenarios(scenarios, shards, machine=machine)
+    scenarios = sweep.scenarios
+    parts = partition_scenarios(scenarios, shards, machine=sweep.machine_spec)
     jobs = [
         _ShardJob(
             shard=shard,
-            scenarios=tuple(scenarios[i] for i in part),
-            machine=machine,
-            horizon_seconds=horizon_seconds,
-            epoch_seconds=epoch_seconds,
-            registry_scale=registry_scale,
+            sweep=sweep.narrowed(part),
             backend=backend,
-            registry=registry,
-            meter=meter,
             metrics_queue=metrics_queue,
             metrics_interval=metrics_interval,
             metrics_label=metrics_label,
@@ -304,6 +279,6 @@ def run_sharded(
         backend=backend,
         scenarios=tuple(r for r in by_index if r is not None),
         wall_seconds=time.perf_counter() - start,
-        horizon_seconds=horizon_seconds,
+        horizon_seconds=sweep.horizon_seconds,
     )
     return ShardedSweepResult(result=merged, shard_timings=tuple(timings))

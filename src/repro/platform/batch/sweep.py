@@ -30,6 +30,7 @@ merge results identical to the single-process run.
 
 from __future__ import annotations
 
+import copy
 import re
 import time
 from dataclasses import dataclass
@@ -320,48 +321,24 @@ def _fault_meter_totals(
     return injections, dropped, duplicated, billed, true
 
 
-def scenario_grid(
-    mixes: Sequence[str],
-    machine_counts: Sequence[int],
-    colocations: Sequence[int],
-    *,
-    cores_per_machine: Optional[int] = None,
-    seed: int = 2024,
-) -> List[FleetScenario]:
-    """The full cross product of mixes × machine counts × co-location."""
-    scenarios: List[FleetScenario] = []
-    for mix in mixes:
-        for machines in machine_counts:
-            for colocation in colocations:
-                scenarios.append(
-                    FleetScenario(
-                        name=f"{mix}-m{machines}-c{colocation}",
-                        mix=mix,
-                        machines=machines,
-                        colocation=colocation,
-                        cores_per_machine=cores_per_machine,
-                        seed=seed,
-                    )
-                )
-    return scenarios
-
-
 class FleetSweep:
     """Simulates a grid of fleet scenarios on either backend.
 
     Construction is cheap and side-effect free; :meth:`run` does the work.
 
     Parameters: ``scenarios`` is the compiled grid (see
-    :func:`scenario_grid` or :func:`repro.scenarios.compile_spec`);
-    ``machine`` the socket-level hardware description every machine of the
-    fleet shares; ``horizon_seconds`` the simulated duration per scenario;
+    :func:`repro.scenarios.compile_spec` and
+    :meth:`repro.scenarios.CompiledSweep.sweep`); ``machine`` the
+    socket-level hardware description every machine of the fleet shares;
+    ``horizon_seconds`` the simulated duration per scenario;
     ``epoch_seconds`` the engine time step; ``registry_scale`` shrinks every
     function body by that factor (the usual way to trade fidelity for
-    wall-clock in large grids).
+    wall-clock in large grids); ``meter`` bills every scenario.
 
     To run a grid across worker processes instead of one engine, hand the
-    same scenarios to :func:`repro.platform.batch.run_sharded` — results
-    merge back identical to a single-process :meth:`run`.
+    sweep to :func:`repro.platform.batch.run_sharded`: each worker runs
+    :meth:`narrowed` to its shard's scenarios, and the results merge back
+    identical to a single-process :meth:`run`.
     """
 
     def __init__(
@@ -416,6 +393,13 @@ class FleetSweep:
     def epoch_seconds(self) -> float:
         """Engine time step."""
         return self._epoch_seconds
+
+    def narrowed(self, indices: Sequence[int]) -> "FleetSweep":
+        """The same settings, registry and metering over the scenarios at
+        ``indices`` (in that order): one shard of a sharded run."""
+        shard = copy.copy(self)
+        shard._scenarios = [self._scenarios[i] for i in indices]
+        return shard
 
     def _mix_pool(self, scenario: FleetScenario) -> List[FunctionSpec]:
         """The scenario's resolved function pool (explicit traffic pool wins)."""
@@ -476,13 +460,6 @@ class FleetSweep:
             wall_seconds=wall,
             horizon_seconds=self._horizon,
         )
-
-    def compare(self) -> Tuple[FleetSweepResult, FleetSweepResult, float]:
-        """Run both backends; returns (vector, scalar, speedup)."""
-        vector = self.run("vector")
-        scalar = self.run("scalar")
-        speedup = scalar.wall_seconds / max(vector.wall_seconds, 1e-9)
-        return vector, scalar, speedup
 
     # ------------------------------------------------------------------ #
     # Fault, metering and result plumbing shared by both backends

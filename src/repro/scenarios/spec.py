@@ -104,9 +104,12 @@ class MixDef:
 class ScenarioSpec:
     """A parsed, schema-valid scenario spec (registry not yet consulted).
 
-    Field defaults match the ``python -m repro sweep`` flag defaults, so a
-    spec only has to say what deviates.  Function abbreviations and the
-    machine name are resolved later by :func:`compile_spec`.
+    Field defaults are the ``python -m repro sweep`` defaults: without
+    ``--spec`` the grid flags that were passed become a spec, so a spec
+    only says what deviates.  Function abbreviations and the machine name
+    are resolved later by :func:`compile_spec`, which raises
+    :class:`SpecError` for what it resolves even in a spec built in memory
+    (such a spec skips :func:`parse_spec`'s checks).
     """
 
     name: str
@@ -422,16 +425,10 @@ class CompiledSweep:
         :func:`repro.platform.batch.run_sharded`).
         """
         return run_sharded(
-            self.scenarios,
+            self.sweep(meter=meter),
             shards=self.spec.shards if shards is None else shards,
             backend=backend or self.spec.backend,
-            machine=self.machine,
-            horizon_seconds=self.spec.horizon_seconds,
-            epoch_seconds=self.spec.epoch_seconds,
-            registry_scale=self.spec.registry_scale,
-            registry=self.registry,
             max_workers=max_workers,
-            meter=meter,
         )
 
 
@@ -449,17 +446,18 @@ def compile_spec(
         machine = machine_by_name(spec.machine)
     except KeyError as error:
         raise SpecError(f"{spec.name}: sweep.machine: {error.args[0]}") from None
-    scenarios = expand_grid(spec)
-    validator = FleetSweep(
-        scenarios,
-        machine=machine,
-        horizon_seconds=spec.horizon_seconds,
-        epoch_seconds=spec.epoch_seconds,
-        registry=registry or default_registry(),
-        registry_scale=1.0,
-    )
     try:
-        validator.validate()
+        scenarios = expand_grid(spec)
+        FleetSweep(
+            scenarios,
+            machine=machine,
+            horizon_seconds=spec.horizon_seconds,
+            epoch_seconds=spec.epoch_seconds,
+            registry=registry or default_registry(),
+            registry_scale=1.0,
+        ).validate()
+    except SpecError:
+        raise
     except (ValueError, KeyError) as error:
         message = error.args[0] if error.args else error
         raise SpecError(f"{spec.name}: {message}") from None

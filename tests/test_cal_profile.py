@@ -117,6 +117,34 @@ def test_profile_toml_errors_are_path_qualified(tmp_path):
         load_profile(bad_contention)
 
 
+@pytest.mark.parametrize(
+    "line, value, path",
+    [
+        ("memory_latency_ns = 120.0", "nan", "sg2042-like.machine.memory_latency_ns"),
+        (
+            "memory_queueing_coefficient = 0.70",
+            "inf",
+            "sg2042-like.contention.memory_queueing_coefficient",
+        ),
+    ],
+)
+def test_profile_numbers_must_be_finite(line, value, path, tmp_path, capsys):
+    """TOML's nan and inf are floats; a profile holding one is refused by
+    name, and the CLI exits 2 with one line before calibrating anything."""
+    from repro.cli import main
+
+    source = (PROFILE_DIR / "sg2042-like.toml").read_text(encoding="utf-8")
+    assert line in source
+    bad = tmp_path / "bad.toml"
+    bad.write_text(source.replace(line, f"{line.split(' = ')[0]} = {value}"), encoding="utf-8")
+    with pytest.raises(ProfileError, match=f"^{path}: expected a finite number"):
+        load_profile(bad)
+    assert main(["calibrate", "--once", "--profile", str(bad), "--no-bench"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{path}: expected a finite number, got {value}"]
+
+
 def test_profile_name_required():
     with pytest.raises(ProfileError):
         HardwareProfile(name="", machine=CASCADE_LAKE_5218)

@@ -66,6 +66,10 @@ def test_series_budget_accepts_off_and_real_budgets(command, budget):
         (["calibrate", "--once", "--workers", "0"], "--workers"),
         (["calibrate", "--watch", "--rounds", "0"], "--rounds"),
         (["calibrate", "--once", "--points", "1"], "--points"),
+        (["calibrate", "--once", "--window", "0"], "--window"),
+        (["calibrate", "--watch", "--epochs-per-round", "0"], "--epochs-per-round"),
+        (["obs", "summarize", "metrics.jsonl", "--top", "-2"], "--top"),
+        (["sweep", "--cores", "0"], "--cores"),
     ],
 )
 def test_integer_flags_are_checked_when_parsed(argv, flag, capsys):

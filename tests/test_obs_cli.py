@@ -117,25 +117,27 @@ class TestBitExactness:
 
     def test_sweep_identical_with_and_without_telemetry(self):
         from repro.obs import Tracer
-        from repro.platform.batch import run_sharded, scenario_grid
+        from repro.platform.batch import FleetSweep, run_sharded
+        from repro.scenarios import ScenarioSpec, expand_grid
 
-        grid = scenario_grid(["all"], [1, 2], [1], cores_per_machine=3, seed=5)
-        tiny = dict(horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05)
+        grid = expand_grid(
+            ScenarioSpec(name="grid", machines=(1, 2), cores_per_machine=3, seed=5)
+        )
+        sweep = FleetSweep(grid, horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05)
 
-        plain = run_sharded(grid, shards=1, backend="vector", **tiny)
+        plain = run_sharded(sweep, shards=1, backend="vector")
 
         q: "queue.Queue" = queue.Queue()
         tracer = Tracer(sink=q.put)
         root = tracer.start("sweep")
         traced = run_sharded(
-            grid,
+            sweep,
             shards=1,
             backend="vector",
             metrics_queue=q,
             metrics_interval=0.0,
             trace=root.context(),
             series_budget=32,
-            **tiny,
         )
         tracer.finish(root, root=True)
 

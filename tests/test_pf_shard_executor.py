@@ -11,16 +11,21 @@ from repro.platform.batch import (
     FleetSweep,
     partition_scenarios,
     run_sharded,
-    scenario_grid,
 )
-from repro.scenarios import compile_spec, load_preset
+from repro.scenarios import ScenarioSpec, compile_spec, expand_grid, load_preset
 
 TINY = dict(horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05)
 
 
 def tiny_grid():
-    return scenario_grid(
-        ["all", "memory-intensive"], [1, 2], [1], cores_per_machine=3, seed=5
+    return expand_grid(
+        ScenarioSpec(
+            name="tiny",
+            mixes=("all", "memory-intensive"),
+            machines=(1, 2),
+            cores_per_machine=3,
+            seed=5,
+        )
     )
 
 
@@ -82,19 +87,19 @@ class TestShardMergeEquivalence:
     def test_vector_two_shards_match_single_process(self):
         grid = tiny_grid()
         single = FleetSweep(grid, **TINY).run("vector")
-        sharded = run_sharded(grid, shards=2, backend="vector", **TINY)
+        sharded = run_sharded(FleetSweep(grid, **TINY), shards=2, backend="vector")
         assert sharded.shards == 2
         self.assert_merged_identical(single, sharded)
 
     def test_scalar_two_shards_match_single_process(self):
         grid = tiny_grid()[:2]
         single = FleetSweep(grid, **TINY).run("scalar")
-        sharded = run_sharded(grid, shards=2, backend="scalar", **TINY)
+        sharded = run_sharded(FleetSweep(grid, **TINY), shards=2, backend="scalar")
         self.assert_merged_identical(single, sharded)
 
     def test_one_shard_runs_inline(self):
         grid = tiny_grid()[:2]
-        sharded = run_sharded(grid, shards=1, backend="vector", **TINY)
+        sharded = run_sharded(FleetSweep(grid, **TINY), shards=1, backend="vector")
         single = FleetSweep(grid, **TINY).run("vector")
         assert sharded.shards == 1
         self.assert_merged_identical(single, sharded)
@@ -127,7 +132,7 @@ class TestShardMergeEquivalence:
 
     def test_shard_timings_cover_all_scenarios(self):
         grid = tiny_grid()
-        sharded = run_sharded(grid, shards=2, backend="vector", **TINY)
+        sharded = run_sharded(FleetSweep(grid, **TINY), shards=2, backend="vector")
         names = sorted(
             name for timing in sharded.shard_timings for name in timing.scenario_names
         )
@@ -139,7 +144,9 @@ class TestShardMergeEquivalence:
         grid = tiny_grid()
         plain = FleetSweep(grid, **TINY).run("vector")
         single = FleetSweep(grid, meter=True, **TINY).run("vector")
-        sharded = run_sharded(grid, shards=2, backend="vector", meter=True, **TINY)
+        sharded = run_sharded(
+            FleetSweep(grid, meter=True, **TINY), shards=2, backend="vector"
+        )
         self.assert_merged_identical(plain, sharded)
         for a, b in zip(single.scenarios, sharded.result.scenarios):
             assert a.billing is not None
@@ -225,11 +232,71 @@ class TestCLISpecPath:
         assert code == 2
         assert "--machines conflict with --spec" in capsys.readouterr().err
 
+    def test_grid_flags_run_the_spec_they_compile_to(self, tmp_path, capsys):
+        """Without --spec the grid flags are an in-memory spec: the same
+        grid as a spec file prints the same table and records the same
+        numbers; only the file's run names its spec."""
+        import json
+
+        from repro.cli import main
+
+        spec = tmp_path / "flags.toml"
+        spec.write_text(
+            'name = "flags"\n[sweep]\nhorizon_seconds = 0.1\nregistry_scale = 0.05\n'
+            "[grid]\nmachines = [1, 2]\ncolocations = [1, 2]\ncores_per_machine = 3\n",
+            encoding="utf-8",
+        )
+        flags = ["--machines", "1,2", "--colocation", "1,2", "--cores", "3",
+                 "--horizon", "0.1", "--registry-scale", "0.05"]
+        outputs, records = [], []
+        for source in (flags, ["--spec", str(spec)]):
+            bench = tmp_path / f"bench-{len(outputs)}.json"
+            assert main(["sweep", *source, "--bench-json", str(bench)]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+            (record,) = json.loads(bench.read_text(encoding="utf-8"))["runs"]
+            records.append(record)
+        (flag_out, spec_out), (flag_record, spec_record) = outputs, records
+        # Header, table, completion line with its wall time, bench line.
+        assert flag_out[1:-2] == spec_out[1:-2]
+        assert "Fleet sweep [vector]" in flag_out[1]
+        assert "[spec: flags]" in spec_out[0] and "[spec:" not in flag_out[0]
+        for key in ("scenarios", "fleet_size", "completed"):
+            assert flag_record[key] == spec_record[key]
+        assert spec_record["spec"] == "flags" and "spec" not in flag_record
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--horizon", "0"], "--horizon"),
+            (["--epoch-seconds", "-1"], "--epoch-seconds"),
+            (["--registry-scale", "0"], "--registry-scale"),
+            (["--cores", "0"], "--cores"),
+            (["--cores", "99"], "99 cores"),
+            (["--machines", "0"], "--machines"),
+            (["--colocation", "1,two"], "'two'"),
+            (["--mixes", ","], "--mixes"),
+            (["--mixes", "all,bogus"], "'bogus'"),
+        ],
+    )
+    def test_bad_grid_flags_exit_2_in_one_line(self, flags, named, capsys):
+        from repro.cli import main
+
+        try:
+            code = main(["sweep", *flags, "--no-bench"])
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert named in captured.err
+
     def test_bad_colocation_token_named(self, capsys):
         from repro.cli import main
 
-        code = main(["sweep", "--colocation", "1,two", "--no-bench"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--colocation", "1,two", "--no-bench"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "'two'" in err and "--colocation" in err
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.platform.batch import FleetSweep, scenario_grid
+from repro.platform.batch import FleetSweep
 from repro.platform.faults import FAULT_TYPES, FaultSpec, faults_for_scenario
 from repro.platform.metering import MeterFaultInjector, MeteringLedger
 from repro.scenarios import (
     DegradationReport,
+    ScenarioSpec,
     SpecError,
     compile_spec,
     expand_grid,
@@ -17,6 +18,10 @@ from repro.scenarios import (
 )
 
 TINY = dict(horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05)
+#: all-m1-c2 and all-m2-c2 on three cores per machine.
+GRID = expand_grid(
+    ScenarioSpec(name="grid", machines=(1, 2), colocations=(2,), cores_per_machine=3, seed=5)
+)
 
 
 def spec_with_faults(fault_toml: str):
@@ -196,10 +201,7 @@ class TestFaultedSweeps:
             ),
             FaultSpec(type="meter-dup", probability=0.3),
         )
-        grid = [
-            replace(cell, faults=faults)
-            for cell in scenario_grid(["all"], [1, 2], [2], cores_per_machine=3, seed=5)
-        ]
+        grid = [replace(cell, faults=faults) for cell in GRID]
         vector = FleetSweep(grid, **TINY).run("vector")
         scalar = FleetSweep(grid, **TINY).run("scalar")
         for a, b in zip(vector.scenarios, scalar.scenarios):
@@ -240,9 +242,8 @@ class TestFaultedSweeps:
         assert any(row.throttled_machine_epochs > 0 for row in report.rows)
 
     def test_fault_free_metered_run_matches_plain(self):
-        grid = scenario_grid(["all"], [1, 2], [2], cores_per_machine=3, seed=5)
-        plain = FleetSweep(grid, **TINY).run("vector")
-        metered = FleetSweep(grid, meter=True, **TINY).run("vector")
+        plain = FleetSweep(GRID, **TINY).run("vector")
+        metered = FleetSweep(GRID, meter=True, **TINY).run("vector")
         for a, b in zip(plain.scenarios, metered.scenarios):
             assert a.completed == b.completed
             assert a.instructions == b.instructions

@@ -442,6 +442,27 @@ def test_cli_stream_checkpoint_resume_cycle(tmp_path, capsys):
     assert not list(ckpt_dir.glob("*.ckpt.json"))
 
 
+def test_cli_resumed_stream_keeps_its_chunk_numbers(tmp_path, capsys):
+    """A stop-and-resume appends the records an uninterrupted run writes,
+    chunk numbers included: the rebuilt plan numbers on from the chunks
+    the checkpoint already ingested."""
+    from repro.cli import main
+
+    def records(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    common = ["stream", "--spec", "chaos-smoke", "--chunk-epochs", "25", "--no-bench"]
+    whole = tmp_path / "whole.jsonl"
+    assert main(common + ["--records-out", str(whole)]) == 0
+    split = tmp_path / "split.jsonl"
+    resumable = common + ["--records-out", str(split), "--checkpoint-dir", str(tmp_path)]
+    assert main(resumable + ["--max-chunks", "4"]) == 0
+    assert main(resumable) == 0
+    capsys.readouterr()
+    assert sorted({r["chunk"] for r in records(whole)}) == list(range(10))
+    assert records(split) == records(whole)
+
+
 def test_cli_stream_refuses_a_corrupt_checkpoint_in_one_line(tmp_path, capsys):
     from repro.cli import main
 
