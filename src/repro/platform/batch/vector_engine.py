@@ -45,7 +45,18 @@ reuses it.  The utility-curve ``pow`` is one ``math.pow`` per lane below
 ``_DEDUPE_POW_LANES`` lanes (72-76 in the stream-billing benchmark), and
 at or above it once per distinct coverage value (327 of 5,760 lanes in
 fleet-sweep), where sorting out the repeats costs less than the libm calls
-it saves.  docs/backends.md gives measured per-epoch costs.
+it saves.
+
+Narrow work runs in Python floats and wide work in NumPy, each with the
+same operations in the same order, so either side gives the same bits:
+below ``_NUMPY_QUEUEING_MACHINES`` machines the fixed point's per-machine
+queueing is one loop over the machines; once at most ``_TAIL_LANES``
+lanes still advance, they finish the epoch one lane at a time; and churn
+that keeps every run-queue length rewrites only the changed threads'
+slices of the runnable order.  The water fill decides "every lane active"
+with one ``min`` and hands its per-machine total rate back as the ring's
+lookups.  docs/backends.md gives the timings behind each cutoff and the
+measured per-epoch costs.
 
 Limitations (gated with explicit errors): SMT sharing domains are not
 supported; randomness must live outside the engine, exactly as with the
@@ -57,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -98,10 +109,27 @@ _COLUMN_ARRAYS = (
 #: the libm calls they save cost less (docs/backends.md has the timings).
 _DEDUPE_POW_LANES = 256
 
+#: Machine count from which the fixed point's per-machine queueing (ring and
+#: memory latencies, private-cache inflation) runs as NumPy rows; below it
+#: one Python loop over the machines costs less than the dozen calls those
+#: rows take (docs/backends.md has the timings).
+_NUMPY_QUEUEING_MACHINES = 8
+
+#: Live-lane count at or below which advancement finishes an epoch's
+#: remaining phase crossings one lane at a time in Python floats instead of
+#: another NumPy pass over the live lanes (docs/backends.md has the
+#: timings).
+_TAIL_LANES = 8
+
 #: Listener called when an invocation completes.  Receives the materialized
 #: :class:`Invocation` handle (or the bare invocation index when the engine
 #: was built with ``materialize_handles=False``) and the engine.
 VectorFinishListener = Callable[[object, "VectorEngine"], None]
+
+
+def _bandwidth_peaks(machine: MachineSpec) -> Tuple[float, float]:
+    """The ring's peak accesses and memory's peak bytes, per second."""
+    return machine.ring_peak_accesses_per_us * 1e6, machine.memory_bandwidth_gbs * 1e9
 
 
 @dataclass(frozen=True)
@@ -131,6 +159,12 @@ class VectorEngineStats:
     #: layout (run-queue lengths), after a frequency-scale change, or after
     #: a restore.
     lane_plans: int = 0
+    #: Lanes whose epoch advancement was finished one at a time
+    #: (``_TAIL_LANES``).
+    tail_lanes: int = 0
+    #: Runnable orders patched in place (every run-queue length unchanged)
+    #: instead of rebuilt.
+    order_patches: int = 0
 
 
 class _LanePlan(NamedTuple):
@@ -176,6 +210,9 @@ class _SpecTable:
         #: Rows: cpi_base, l2_mpki, working_set_mb, solo_l3_hit_fraction,
         #: mlp, phase instructions.
         self.profiles: np.ndarray = np.zeros((6, 0))
+        #: The same table as Python floats, one list per column (derived,
+        #: not pickled).
+        self.columns: List[List[float]] = []
 
     def intern(self, spec: FunctionSpec) -> int:
         # Keyed by object identity first: churn drivers resubmit the same
@@ -196,18 +233,21 @@ class _SpecTable:
             self.specs.append(spec)
             self.first_column.append(self.profiles.shape[1])
             self.max_phases = max(self.max_phases, len(spec.phases))
-            columns = [
-                (
-                    phase.profile.cpi_base,
-                    phase.profile.l2_mpki,
-                    phase.profile.working_set_mb,
-                    phase.profile.solo_l3_hit_fraction,
-                    phase.profile.mlp,
-                    phase.instructions,
-                )
-                for phase in spec.phases
-            ]
-            self.profiles = np.concatenate((self.profiles, np.array(columns).T), axis=1)
+            columns = np.array(
+                [
+                    (
+                        phase.profile.cpi_base,
+                        phase.profile.l2_mpki,
+                        phase.profile.working_set_mb,
+                        phase.profile.solo_l3_hit_fraction,
+                        phase.profile.mlp,
+                        phase.instructions,
+                    )
+                    for phase in spec.phases
+                ]
+            )
+            self.profiles = np.concatenate((self.profiles, columns.T), axis=1)
+            self.columns.extend(columns.tolist())
         self._by_id[id(spec)] = index
         self._keepalive.append(spec)
         return index
@@ -219,7 +259,12 @@ class _SpecTable:
         # the hash-based ``_index`` lookup (same indices, same columns).
         state = self.__dict__.copy()
         state["_by_id"] = {}
+        del state["columns"]
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.columns = self.profiles.T.tolist()
 
 
 class _VectorThreadView:
@@ -316,12 +361,16 @@ class VectorEngine:
 
         total_threads = machines * self._threads_per_machine
         self._queues: List[List[int]] = [[] for _ in range(total_threads)]
-        self._order: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._order_dirty = True
-        # The lane plan of the current thread layout, and that layout (each
-        # thread's run-queue length); see ``_lane_plan``.
+        # The runnable order, where each thread's slice of it starts (then
+        # its length), and the threads whose run queue changed since it was
+        # built; see ``_runnable_order``.
+        self._order: np.ndarray
+        self._thread_starts: List[int]
+        self._dirty_threads: Set[int] = set()
+        self._rebuild_order()
+        # The lane plan of the runnable order's thread layout; see
+        # ``_lane_plan``.
         self._plan: Optional[_LanePlan] = None
-        self._layout: Optional[Tuple[int, ...]] = None
 
         # Derived machine constants.
         self._capacity_mb = machine.l3.size_mb
@@ -331,12 +380,7 @@ class VectorEngine:
         # Ring (row 0) and memory (row 1) constants, shaped to broadcast
         # over per-machine rows; ``set_contention_parameters`` adds the
         # queueing coefficients.
-        self._peaks = np.array(
-            [
-                [machine.ring_peak_accesses_per_us * 1e6],
-                [machine.memory_bandwidth_gbs * 1e9],
-            ]
-        )
+        self._peaks = np.array(_bandwidth_peaks(machine))[:, None]
         self._base_latency = np.array([[self._l3_latency], [self._memory_latency]])
         self.set_contention_parameters(self._parameters)
         self._switch_factors: Dict[int, float] = {}
@@ -537,14 +581,20 @@ class VectorEngine:
         for name in _COLUMN_ARRAYS:
             state[name] = state[name][..., :width]
         state["_capacity"] = width
-        # The lane plan is derived state; the first epoch rebuilds it.
-        del state["_plan"], state["_layout"]
+        # Derived state: a restore rebuilds the runnable order, and the
+        # first epoch the lane plan.
+        for name in ("_order", "_thread_starts", "_dirty_threads", "_plan"):
+            del state[name]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
+        # A checkpoint written before the order was patched in place also
+        # carries the order and a flag saying it was stale.
+        state.pop("_order_dirty", None)
         self.__dict__.update(state)
         self._plan = None
-        self._layout = None
+        self._dirty_threads = set()
+        self._rebuild_order()
 
     # ------------------------------------------------------------------ #
     # Storage management
@@ -628,7 +678,7 @@ class VectorEngine:
             math.inf if spec.is_traffic_generator else spec.startup_instructions
         )
         self._queues[gthread].append(index)
-        self._order_dirty = True
+        self._dirty_threads.add(gthread)
         self._stats.submissions += 1
 
         if self._materialize:
@@ -680,16 +730,37 @@ class VectorEngine:
 
         This is the order the scalar engine's ``_collect_runnable`` visits
         invocations in; per-machine reductions accumulate in this order so
-        their floating-point folds match the scalar sums.  A rebuild keeps
-        the lane plan only if every run-queue length is unchanged.
+        their floating-point folds match the scalar sums.  When every
+        changed run queue kept its length (churn resubmitting on the
+        finishing thread), only the changed threads' slices are rewritten,
+        in place, and the lane plan stays; otherwise the order is rebuilt
+        and the plan dropped.
         """
-        if self._order_dirty:
-            order = [index for queue in self._queues for index in queue]
-            self._order = np.array(order, dtype=np.int64)
-            self._order_dirty = False
-            if self._plan is not None and tuple(map(len, self._queues)) != self._layout:
+        dirty = self._dirty_threads
+        if dirty:
+            queues = self._queues
+            starts = self._thread_starts
+            if all(len(queues[t]) == starts[t + 1] - starts[t] for t in dirty):
+                order = self._order
+                for t in dirty:
+                    order[starts[t] : starts[t + 1]] = queues[t]
+                self._stats.order_patches += 1
+            else:
+                self._rebuild_order()
                 self._plan = None
+            dirty.clear()
         return self._order
+
+    def _rebuild_order(self) -> None:
+        """Build the runnable order and its thread slice starts afresh."""
+        order: List[int] = []
+        starts = []
+        for queue in self._queues:
+            starts.append(len(order))
+            order.extend(queue)
+        starts.append(len(order))
+        self._order = np.array(order, dtype=np.int64)
+        self._thread_starts = starts
 
     def _switch_factor_table(self, max_occupancy: int) -> np.ndarray:
         """Switch factors for occupancies 0..max (``math.exp``-exact)."""
@@ -736,7 +807,7 @@ class VectorEngine:
     def _lane_plan(self, idx: np.ndarray) -> _LanePlan:
         """The lane plan of the runnable ``idx``, built if there is none.
 
-        Kept until a rebuild of the runnable order finds a changed thread
+        Kept until the runnable order is rebuilt for a changed thread
         layout (:meth:`_runnable_order`) or a frequency scale changes.
         """
         plan = self._plan
@@ -762,7 +833,6 @@ class VectorEngine:
             counter_bins=(self._counter_bins + m_of).ravel(),
             full_budgets=np.count_nonzero(cycles_available > 1.0) == idx.size,
         )
-        self._layout = tuple(map(len, self._queues))
         return plan
 
     def run_epoch(self) -> None:
@@ -807,6 +877,12 @@ class VectorEngine:
         # the pass after the last iteration's update feeds the advancement.
         iterations = self._config.fixed_point_iterations
         miss_fraction = 1.0 - hit_frac
+        needs_positive = need.min() > 0.0
+        queueing = (
+            self._queueing_loop
+            if machines < _NUMPY_QUEUEING_MACHINES
+            else self._queueing_numpy
+        )
         for iteration in range(iterations + 1):
             hit_term = hit_frac * hit_latency + miss_fraction * mem_latency
             stall = mpki_per_inst * (hit_term / mlp)
@@ -817,23 +893,18 @@ class VectorEngine:
             instructions = np.minimum(cycles_available / cpi_effective, remaining)
             rate = instructions * l2_mpki / 1000.0 / dt
 
-            hit_frac = self._water_fill(rate, need, solo_hit, m_of)
+            hit_frac, lookups = self._water_fill(
+                rate, need, solo_hit, m_of, needs_positive
+            )
             miss_fraction = 1.0 - hit_frac
-            lookups = np.bincount(m_of, weights=rate, minlength=machines)
+            if lookups is None:
+                lookups = np.bincount(m_of, weights=rate, minlength=machines)
             dram_bytes = np.bincount(
                 m_of, weights=rate * miss_fraction * self._line_size, minlength=machines
             )
-            # Row 0: the ring, row 1: memory; one column per machine.
-            load = np.array((lookups, dram_bytes))
-            # Loads are non-negative: every hit fraction is at most one
-            # (``set_contention_parameters`` refuses a utility exponent
-            # outside (0, 1]) and the peaks are positive.
-            util = np.minimum(load / self._peaks, self._max_util)
-            latency = self._base_latency * (
-                1.0 + self._queueing * util / (1.0 - util)
+            hit_latency, mem_latency, inflation = queueing(lookups, dram_bytes).take(
+                m_of, axis=1
             )
-            hit_latency, mem_latency = latency.take(m_of, axis=1)
-            inflation = (1.0 + self._pressure * np.maximum(util[0], util[1]))[m_of]
         state[_HIT] = hit_frac
         state[_HIT_LATENCY] = hit_latency
         state[_MEM_LATENCY] = mem_latency
@@ -856,13 +927,19 @@ class VectorEngine:
         live = slice(None)
         sub = lanes
         p_mpki = l2_mpki
-        for pass_no in range(self._specs.max_phases + 2):
+        passes = self._specs.max_phases + 2
+        for pass_no in range(passes):
             if pass_no or not full_budgets:
                 # Some lane is out of budget, finished or at the end of its
                 # probe window, or a phase moved: gather the lanes that
                 # still advance, at their current phase.
                 live = ((lanes[2] > 1.0) & (column < end_column)).nonzero()[0]
-                if live.size == 0:
+                if live.size <= _TAIL_LANES:
+                    if live.size:
+                        constants = (hit_term, inflation, multiplier, miss_fraction, probe_end)
+                        self._advance_tail(
+                            live, lanes, column, end_column, constants, passes - pass_no
+                        )
                     break
                 sub = lanes.take(live, axis=1)
                 p_cpi, p_mpki, _, _, p_mlp, p_instr = profiles.take(
@@ -923,6 +1000,107 @@ class VectorEngine:
         if np.count_nonzero(finished):
             self._finish(idx[finished])
 
+    def _advance_tail(
+        self,
+        live: np.ndarray,
+        lanes: np.ndarray,
+        column: np.ndarray,
+        end_column: np.ndarray,
+        constants: Tuple[np.ndarray, ...],
+        passes_left: int,
+    ) -> None:
+        """Finish the advancement of the lanes at positions ``live``.
+
+        Each lane makes its remaining passes on its own, in Python floats,
+        with the NumPy pass's operations in their order: a lane's pass reads
+        only that lane, and a lane that stops advancing never resumes within
+        the epoch, so lane by lane equals pass by pass.  ``constants`` are
+        the epoch's per-lane hit term, private inflation, switching
+        multiplier, miss fraction and probe-window end; ``passes_left`` is what
+        the NumPy loop's pass limit leaves.  ``stats.advance_passes`` gains
+        the passes the NumPy loop would have made: the most any lane makes.
+        """
+        profiles = self._specs.columns
+        updated = []
+        phases = []
+        passes = 0
+        for (
+            (into, retired_sum, budget, d_cycles, d_instr, d_stall, d_l2, d_l3),
+            phase,
+            end,
+            (hit_term, inflation, multiplier, miss_fraction, probe_end),
+        ) in zip(
+            lanes[:8].take(live, axis=1).T.tolist(),
+            column[live].tolist(),
+            end_column[live].tolist(),
+            np.array(constants).take(live, axis=1).T.tolist(),
+        ):
+            made = 0
+            while made < passes_left and budget > 1.0 and phase < end:
+                cpi, mpki, _, _, mlp, instructions = profiles[phase]
+                stall = (mpki / 1000.0) * (hit_term / mlp)
+                cpi_effective = cpi * inflation * multiplier + stall
+                retired = min(budget / cpi_effective, instructions - into)
+                cycles = retired * cpi_effective
+                d_cycles += cycles
+                d_instr += retired
+                d_stall += retired * stall
+                l2 = retired * mpki / 1000.0
+                d_l2 += l2
+                d_l3 += l2 * miss_fraction
+                budget -= cycles
+                into += retired
+                retired_sum += retired
+                if into >= instructions - 1e-9:
+                    into = 0.0
+                    phase += 1
+                if retired_sum >= probe_end:
+                    budget = 0.0
+                made += 1
+            passes = max(passes, made)
+            updated.append(
+                (into, retired_sum, budget, d_cycles, d_instr, d_stall, d_l2, d_l3)
+            )
+            phases.append(phase)
+        lanes[:8, live] = np.array(updated).T
+        column[live] = phases
+        self._stats.advance_passes += passes
+        self._stats.tail_lanes += live.size
+
+    def _queueing_numpy(self, lookups: np.ndarray, dram_bytes: np.ndarray) -> np.ndarray:
+        """L3 hit latency, memory latency and private inflation, one row
+        each and one column per machine, from the machines' ring lookups
+        and DRAM bytes per second."""
+        # Row 0: the ring, row 1: memory; one column per machine.
+        load = np.array((lookups, dram_bytes))
+        # Loads are non-negative: every hit fraction is at most one
+        # (``set_contention_parameters`` refuses a utility exponent outside
+        # (0, 1]) and the peaks are positive.
+        util = np.minimum(load / self._peaks, self._max_util)
+        rows = np.empty((3, self._machines))
+        rows[:2] = self._base_latency * (1.0 + self._queueing * util / (1.0 - util))
+        rows[2] = 1.0 + self._pressure * np.maximum(util[0], util[1])
+        return rows
+
+    def _queueing_loop(self, lookups: np.ndarray, dram_bytes: np.ndarray) -> np.ndarray:
+        """:meth:`_queueing_numpy`'s rows from one Python loop over the
+        machines, with the same operations in the same order."""
+        ring_peak, memory_peak = _bandwidth_peaks(self._machine)
+        max_util, pressure = self._max_util, self._pressure
+        l3_latency, memory_latency = self._l3_latency, self._memory_latency
+        ring_queueing = self._parameters.ring_queueing_coefficient
+        memory_queueing = self._parameters.memory_queueing_coefficient
+        hit_latency, mem_latency, inflation = [], [], []
+        for ring_load, memory_load in zip(lookups.tolist(), dram_bytes.tolist()):
+            ring = min(ring_load / ring_peak, max_util)
+            memory = min(memory_load / memory_peak, max_util)
+            hit_latency.append(l3_latency * (1.0 + ring_queueing * ring / (1.0 - ring)))
+            mem_latency.append(
+                memory_latency * (1.0 + memory_queueing * memory / (1.0 - memory))
+            )
+            inflation.append(1.0 + pressure * max(ring, memory))
+        return np.array((hit_latency, mem_latency, inflation))
+
     # ------------------------------------------------------------------ #
     # Water-filling cache allocation (vectorized per machine)
     # ------------------------------------------------------------------ #
@@ -932,7 +1110,8 @@ class VectorEngine:
         need: np.ndarray,
         solo_hit: np.ndarray,
         m_of: np.ndarray,
-    ) -> np.ndarray:
+        needs_positive: bool,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Effective L3 hit fractions under capacity contention.
 
         Vectorized replica of ``SharedCacheModel.allocate``: capacity is
@@ -940,76 +1119,81 @@ class VectorEngine:
         workload's working set (``need`` is the working set pre-clamped to
         the L3 capacity), surplus re-offered until no workload is capped;
         hit fractions degrade along the concave utility curve.
+        ``needs_positive`` says whether every need is positive.
+
+        Returns the hit fractions and, when every lane is active (a positive
+        rate and need), each machine's total rate, which is also the ring's
+        lookups; else None.
         """
-        n = rate.shape[0]
         machines = self._machines
         capacity = self._capacity_mb
-        wf_active = (rate > 0.0) & (need > 0.0)
-        active = np.count_nonzero(wf_active)
-        if not active:
-            return solo_hit.copy()
-        # First-pass fast path: with full capacity every machine hosting an
-        # active workload is processing (active implies rate > 0, so its
-        # machine's total rate is positive), and when no workload's
-        # proportional share reaches its need the scalar loop distributes
-        # the shares and stops — one pass, no bookkeeping.
-        if active == n:
+        if needs_positive and rate.min() > 0.0:
+            # Every lane is active, so every machine hosting one has a
+            # positive total rate.  First-pass fast path: with full
+            # capacity, when no workload's proportional share reaches its
+            # need the scalar loop distributes the shares and stops — one
+            # pass, no bookkeeping — and ``0 <= share < need`` puts the
+            # coverage in [0, 1] as is.
             total_rate = np.bincount(m_of, weights=rate, minlength=machines)
             share = capacity * rate / total_rate[m_of]
-            capped = share >= need
-        else:
-            total_rate = np.bincount(
-                m_of, weights=np.where(wf_active, rate, 0.0), minlength=machines
-            )
-            share = (
-                capacity * rate / np.where(total_rate[m_of] > 0, total_rate[m_of], 1.0)
-            )
-            capped = wf_active & (share >= need)
-        any_capped = np.count_nonzero(capped)
-        if active == n and not any_capped:
-            # Here 0 <= share < need, so the coverage lies in [0, 1] as is.
-            coverage = share / need
-        else:
-            if any_capped:
-                alloc = self._water_fill_slow(rate, need, m_of, wf_active)
+            if np.count_nonzero(share >= need):
+                active = np.ones(rate.shape[0], dtype=bool)
+                alloc = self._water_fill_slow(rate, need, m_of, active)
+                coverage = np.minimum(np.maximum(alloc / need, 0.0), 1.0)
             else:
-                alloc = np.where(wf_active, share, 0.0)
-            divisor = need if active == n else np.where(wf_active, need, 1.0)
-            coverage = np.minimum(np.maximum(alloc / divisor, 0.0), 1.0)
+                coverage = share / need
+            return solo_hit * self._utility_curve(coverage), total_rate
+        active = (rate > 0.0) & (need > 0.0)
+        if not np.count_nonzero(active):
+            return solo_hit.copy(), None
+        total_rate = np.bincount(
+            m_of, weights=np.where(active, rate, 0.0), minlength=machines
+        )
+        share = capacity * rate / np.where(total_rate[m_of] > 0, total_rate[m_of], 1.0)
+        if np.count_nonzero(active & (share >= need)):
+            alloc = self._water_fill_slow(rate, need, m_of, active)
+        else:
+            alloc = np.where(active, share, 0.0)
+        coverage = np.minimum(
+            np.maximum(alloc / np.where(active, need, 1.0), 0.0), 1.0
+        )
+        # Inactive lanes keep their solo hit fraction.
+        curve = self._utility_curve(coverage)
+        return np.where(active, solo_hit * curve, solo_hit), None
+
+    def _utility_curve(self, coverage: np.ndarray) -> np.ndarray:
+        """``coverage ** cache_utility_exponent``, through libm ``pow``."""
         # The utility curve is the one transcendental in the per-epoch chain.
         # NumPy's SIMD ``power`` rounds differently from libm ``pow`` (the
         # scalar engine's ``**``) in ~5 % of cases, and a 1-ulp penalty
         # difference drifts the accumulated instruction counters onto the
         # scalar engine's exact startup-boundary comparisons — so coverage
         # goes through ``math.pow`` instead (full coverage gives exactly
-        # 1.0, and inactive lanes are dropped below).
+        # 1.0).
+        n = coverage.shape[0]
         exponent = self._utility_exponent
         if n < _DEDUPE_POW_LANES:
-            curve = np.fromiter(
+            return np.fromiter(
                 map(math.pow, coverage.tolist(), repeat(exponent)), dtype=float, count=n
             )
-        else:
-            # Coverage values repeat (invocations running the same phase of
-            # the same spec on a machine share rate and need bit for bit),
-            # so pow runs once per distinct value: sort, flag each value
-            # that differs from its neighbour, and number the runs with a
-            # cumulative sum.
-            order = coverage.argsort()
-            ordered = coverage[order]
-            distinct = np.empty(n, dtype=bool)
-            distinct[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-            values = ordered[distinct]
-            powered = np.fromiter(
-                map(math.pow, values.tolist(), repeat(exponent)),
-                dtype=float,
-                count=values.size,
-            )
-            curve = np.empty(n)
-            curve[order] = powered[distinct.cumsum() - 1]
-        if active == n:
-            return solo_hit * curve
-        return np.where(wf_active, solo_hit * curve, solo_hit)
+        # Coverage values repeat (invocations running the same phase of the
+        # same spec on a machine share rate and need bit for bit), so pow
+        # runs once per distinct value: sort, flag each value that differs
+        # from its neighbour, and number the runs with a cumulative sum.
+        order = coverage.argsort()
+        ordered = coverage[order]
+        distinct = np.empty(n, dtype=bool)
+        distinct[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        values = ordered[distinct]
+        powered = np.fromiter(
+            map(math.pow, values.tolist(), repeat(exponent)),
+            dtype=float,
+            count=values.size,
+        )
+        curve = np.empty(n)
+        curve[order] = powered[distinct.cumsum() - 1]
+        return curve
 
     def _water_fill_slow(
         self,
@@ -1131,8 +1315,9 @@ class VectorEngine:
         materialize = self._materialize
         for index in finished_indices.tolist():
             self.active[index] = False
-            self._queues[int(self.gthread[index])].remove(index)
-            self._order_dirty = True
+            gthread = int(self.gthread[index])
+            self._queues[gthread].remove(index)
+            self._dirty_threads.add(gthread)
             self._stats.completions += 1
             handle: object = index
             if materialize:

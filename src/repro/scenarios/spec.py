@@ -87,6 +87,7 @@ _SWEEP_KEYS = (
     "shards",
 )
 _GRID_KEYS = ("mixes", "machines", "colocations", "cores_per_machine", "seed")
+_BACKENDS = ("vector", "scalar")
 _TRAFFIC_KEYS = ("policy", "trace")
 _MIX_KEYS = ("functions", "weights")
 
@@ -170,8 +171,7 @@ def parse_spec(document: Mapping[str, Any], *, origin: str = "<spec>") -> Scenar
         sweep, "machine", f"{origin}.sweep", default=CASCADE_LAKE_5218.name
     )
     backend = schema.get_str(
-        sweep, "backend", f"{origin}.sweep", default="vector",
-        choices=("vector", "scalar"),
+        sweep, "backend", f"{origin}.sweep", default="vector", choices=_BACKENDS
     )
     shards = schema.get_int(sweep, "shards", f"{origin}.sweep", default=1, minimum=1)
 
@@ -439,9 +439,23 @@ def compile_spec(
 
     Everything the schema cannot check alone is checked here: the machine
     name, every function abbreviation in mixes and traces, and core counts
-    against the machine's topology.  Raises :class:`SpecError` naming the
-    spec and offending value on any failure.
+    against the machine's topology.  So are the ``[sweep]`` settings, which
+    a spec built in memory brings unchecked.  Raises :class:`SpecError`
+    naming the spec and offending value on any failure.
     """
+    # The schema's own checks, on the fields as a table.
+    settings = {
+        "horizon_seconds": spec.horizon_seconds,
+        "epoch_seconds": spec.epoch_seconds,
+        "registry_scale": spec.registry_scale,
+        "backend": spec.backend,
+        "shards": spec.shards,
+    }
+    where = f"{spec.name}: sweep"
+    for key in ("horizon_seconds", "epoch_seconds", "registry_scale"):
+        schema.get_number(settings, key, where, positive=True)
+    schema.get_str(settings, "backend", where, choices=_BACKENDS)
+    schema.get_int(settings, "shards", where, minimum=1)
     try:
         machine = machine_by_name(spec.machine)
     except KeyError as error:

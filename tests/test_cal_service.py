@@ -13,7 +13,6 @@ from repro.calibrate import (
     ContinuousCalibrator,
     DriftEvent,
     DriftInjector,
-    MeasureConfig,
     best_candidate,
     calibrate_once,
     fit_key,

@@ -99,6 +99,39 @@ class TestLanePlans:
         assert engine.stats.lane_plans == 3
 
 
+class TestNarrowWorkCounts:
+    def test_churn_fleet_work_counts(self, registry):
+        """A fixed two-machine churn fleet's work, counted exactly: the
+        advancement passes, the lane plans (one per thread layout), the
+        lanes finished one at a time after the first pass and the runnable
+        orders patched in place (churn on the finishing thread) rather than
+        rebuilt (the least-loaded submission that changes the layout)."""
+        specs = [registry.get(name) for name in ("auth-py", "fib-go", "bfs-py", "float-py")]
+        engine = VectorEngine(CASCADE_LAKE_5218, machines=2, materialize_handles=False)
+
+        def churn(index, eng):
+            machine = int(eng.machine_of[index])
+            thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
+            eng.submit(eng.invocation_spec(index), machine=machine, thread_id=thread)
+
+        engine.add_finish_listener(churn)
+        for machine in range(2):
+            for thread in range(4):
+                for k in range(3):
+                    spec = specs[(machine + thread + k) % len(specs)]
+                    engine.submit(spec, machine=machine, thread_id=thread)
+        engine.run_for(0.1)
+        engine.submit(specs[0], machine=1)
+        engine.run_for(0.1)
+
+        stats = engine.stats
+        assert (stats.epochs, stats.completions) == (200, 115)
+        assert stats.advance_passes == 247
+        assert stats.lane_plans == 2
+        assert stats.tail_lanes == 132
+        assert stats.order_patches == 23
+
+
 class TestSoloAgreement:
     def test_solo_run_matches_scalar_bit_for_bit(self, registry):
         spec = registry.get("auth-py")

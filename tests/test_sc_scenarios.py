@@ -8,6 +8,7 @@ import pytest
 
 from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.scenarios import (
+    ScenarioSpec,
     SpecError,
     compile_spec,
     expand_grid,
@@ -151,6 +152,23 @@ class TestSchemaErrors:
         )
         with pytest.raises(SpecError, match="cores"):
             compile_spec(spec)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("registry_scale", 0),
+            ("backend", "gpu"),
+            ("shards", 0),
+            ("horizon_seconds", float("nan")),
+            ("epoch_seconds", float("nan")),
+        ],
+    )
+    def test_compile_checks_in_memory_settings(self, field, value):
+        """A spec built in memory skips ``parse_spec``; ``compile_spec``
+        still refuses its bad settings, naming the field.  (A NaN horizon
+        or epoch used to compile and run zero epochs.)"""
+        with pytest.raises(SpecError, match=rf"^x: sweep\.{field}: "):
+            compile_spec(ScenarioSpec(name="x", **{field: value}))
 
     def test_compile_rejects_trace_outside_pool(self):
         spec = parse_spec_text(
