@@ -21,8 +21,7 @@ The package is organised in layers, bottom-up:
     The paper's contribution: the Litmus test probe, congestion and
     performance tables, regression + logarithmic interpolation models, the
     split private/shared pricing equation, and the Method 1 / Method 2
-    adaptations for temporal sharing, plus ideal / commercial / POPPA
-    baselines.
+    adaptations for temporal sharing, plus ideal / commercial baselines.
 
 ``repro.scenarios``
     Declarative scenario specs: TOML/JSON files (schema-validated, with

@@ -41,21 +41,3 @@ def format_table(
     for line in body:
         lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(columns))))
     return "\n".join(lines)
-
-
-def format_series(
-    series: Mapping[str, Sequence[float]],
-    x_label: str,
-    x_values: Sequence[object],
-    title: str | None = None,
-    float_format: str = "{:.4f}",
-) -> str:
-    """Render one or more named series sharing the same x axis."""
-    rows = []
-    for index, x in enumerate(x_values):
-        row: dict[str, object] = {x_label: x}
-        for name, values in series.items():
-            if index < len(values):
-                row[name] = values[index]
-        rows.append(row)
-    return format_table(rows, [x_label, *series.keys()], title=title, float_format=float_format)

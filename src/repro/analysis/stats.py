@@ -27,18 +27,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(total / len(values))
 
 
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Arithmetic mean of ``values`` weighted by ``weights``."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    if not values:
-        raise ValueError("weighted_mean of an empty sequence is undefined")
-    total_weight = float(sum(weights))
-    if total_weight <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
-
-
 def mape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean absolute percentage error of ``predicted`` against ``actual``.
 
@@ -58,17 +46,3 @@ def mape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     for guess, truth in zip(predicted, actual):
         total += abs(guess - truth) / max(abs(truth), 1e-12)
     return total / len(actual)
-
-
-def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
-    """``numerator / denominator`` with an explicit value for a zero denominator."""
-    if denominator == 0:
-        return default
-    return numerator / denominator
-
-
-def normalize(values: Sequence[float], baseline: float) -> list[float]:
-    """Divide every value by ``baseline`` (which must be non-zero)."""
-    if baseline == 0:
-        raise ValueError("cannot normalize by a zero baseline")
-    return [value / baseline for value in values]

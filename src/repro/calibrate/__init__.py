@@ -20,7 +20,7 @@ The paper calibrates its coefficients once against the testbed
 See docs/calibration.md for the cookbook.
 """
 
-from repro.calibrate.drift import DriftEvent, DriftInjector, no_drift
+from repro.calibrate.drift import DriftEvent, DriftInjector
 from repro.calibrate.measure import MEASURE_BACKENDS, MeasureConfig, measure_series
 from repro.calibrate.profile import (
     PROFILE_DIR,
@@ -76,7 +76,6 @@ __all__ = [
     "load_fit",
     "load_profile",
     "measure_series",
-    "no_drift",
     "numeric_paths",
     "perturbed",
     "profile_by_name",

@@ -21,7 +21,7 @@ drifted scalar oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.calibrate.profile import HardwareProfile, get_param, set_param
 
@@ -98,8 +98,3 @@ class DriftInjector:
     def drifted(self, time_seconds: float) -> bool:
         """Whether any event has taken effect by ``time_seconds``."""
         return any(event.start_seconds <= time_seconds for event in self._events)
-
-
-def no_drift(profile: HardwareProfile) -> Optional[DriftInjector]:
-    """An injector with no events (stable hardware), for symmetry in tests."""
-    return DriftInjector(profile, ())

@@ -82,7 +82,6 @@ def measure_series(
     backend: str = "scalar",
     start_seconds: float = 0.0,
     drift: Optional[DriftInjector] = None,
-    registry: Optional[FunctionRegistry] = None,
 ) -> List[float]:
     """Per-epoch cumulative shared-stall fraction over one measurement window.
 
@@ -105,8 +104,7 @@ def measure_series(
             f"measure config wants {config.cores} cores but "
             f"{machine.name} has {machine.cores}"
         )
-    registry = registry or _registry_for(config)
-    pool = resolve_mix(config.mix, registry)
+    pool = resolve_mix(config.mix, _registry_for(config))
     mixer = WorkloadMixer(pool, seed=config.seed)
     window_seconds = epochs * config.epoch_seconds
     parameters = (

@@ -919,6 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--figures",
+        type=_list_of(str),
         default=None,
         help="sweep mode: 'all' or a comma-separated list of figure names",
     )

@@ -19,10 +19,10 @@ The flow mirrors Sections 5 and 6 of the paper:
    (logarithmic interpolation), derive per-component charging rates
    ``R = R_base * T_solo / T_congestion`` and charge
    ``P = R_private * T_private + R_shared * T_shared``
-   (:mod:`repro.core.pricing`).  Commercial (no discount), ideal
-   (oracle slowdown) and POPPA (shutter sampling) pricing are provided as
-   baselines, and :mod:`repro.core.sharing` adds the Method 1 / Method 2
-   adaptations for temporally shared CPUs.
+   (:mod:`repro.core.pricing`).  Commercial (no discount) and ideal
+   (oracle slowdown) pricing are provided as baselines, and
+   :mod:`repro.core.sharing` adds the Method 1 / Method 2 adaptations for
+   temporally shared CPUs.
 """
 
 from repro.core.regression import LinearRegressionModel, ExponentialRegressionModel
@@ -49,14 +49,7 @@ from repro.core.pricing import (
     charging_rate,
 )
 from repro.core.sharing import Method1Adjustment, measure_switching_curve
-from repro.core.poppa import PoppaPricing, PoppaQuote
-from repro.core.persistence import (
-    calibration_from_dict,
-    calibration_to_dict,
-    load_calibration,
-    save_calibration,
-)
-from repro.core.service import BillingRecord, BillingSummary, LitmusBillingService
+from repro.core.persistence import calibration_from_dict, calibration_to_dict
 
 __all__ = [
     "LinearRegressionModel",
@@ -82,13 +75,6 @@ __all__ = [
     "charging_rate",
     "Method1Adjustment",
     "measure_switching_curve",
-    "PoppaPricing",
-    "PoppaQuote",
     "calibration_from_dict",
     "calibration_to_dict",
-    "load_calibration",
-    "save_calibration",
-    "BillingRecord",
-    "BillingSummary",
-    "LitmusBillingService",
 ]

@@ -52,6 +52,12 @@ from repro.workloads.traffic import GeneratorKind, TrafficGenerator, generator
 #: Safety bound (simulated seconds) for one calibration run.
 _MAX_RUN_SECONDS = 300.0
 
+#: The traffic generators every calibration sweeps, in table order.
+_GENERATORS = (GeneratorKind.CT, GeneratorKind.MB)
+
+#: Base seed of a stress point's background churn (plus the stress level).
+_CHURN_SEED = 1337
+
 
 @dataclass(frozen=True)
 class CalibrationScenario:
@@ -148,13 +154,11 @@ class Calibrator:
         scenario: Optional[CalibrationScenario] = None,
         *,
         stress_levels: Sequence[int] = (2, 6, 10, 14, 18),
-        generators: Sequence[GeneratorKind] = (GeneratorKind.CT, GeneratorKind.MB),
         reference_repetitions: int = 1,
         probe_repetitions: int = 1,
         engine_config: Optional[EngineConfig] = None,
         contention_parameters: Optional[ContentionParameters] = None,
         oracle: Optional[SoloOracle] = None,
-        churn_seed: int = 1337,
     ) -> None:
         if not stress_levels:
             raise ValueError("at least one stress level is required")
@@ -164,7 +168,6 @@ class Calibrator:
         self._registry = registry or default_registry()
         self._scenario = scenario or CalibrationScenario.dedicated()
         self._stress_levels = tuple(sorted(set(int(level) for level in stress_levels)))
-        self._generators = tuple(generators)
         self._reference_repetitions = reference_repetitions
         self._probe_repetitions = probe_repetitions
         self._engine_config = engine_config or EngineConfig()
@@ -174,20 +177,11 @@ class Calibrator:
             contention_parameters=contention_parameters,
             engine_config=self._engine_config,
         )
-        self._churn_seed = churn_seed
         self._validate_topology()
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    @property
-    def scenario(self) -> CalibrationScenario:
-        return self._scenario
-
-    @property
-    def oracle(self) -> SoloOracle:
-        return self._oracle
-
     def calibrate(self) -> CalibrationResult:
         """Run the full sweep and return the populated tables."""
         startup_baselines = self._collect_startup_baselines()
@@ -203,7 +197,7 @@ class Calibrator:
             Tuple[GeneratorKind, int], Dict[str, Tuple[float, float, float]]
         ] = {}
 
-        for kind in self._generators:
+        for kind in _GENERATORS:
             for level in self._stress_levels:
                 run = self._run_stress_point(kind, level, probe, reference_baselines)
                 for observation in run.congestion_observations:
@@ -215,7 +209,7 @@ class Calibrator:
             machine=self._machine,
             scenario=self._scenario,
             stress_levels=self._stress_levels,
-            generators=self._generators,
+            generators=_GENERATORS,
             startup_baselines=startup_baselines,
             reference_baselines=reference_baselines,
             congestion_table=congestion,
@@ -294,7 +288,7 @@ class Calibrator:
 
         background = self._scenario.resolved_background_functions
         if background > 0:
-            mixer = WorkloadMixer(self._registry.all(), seed=self._churn_seed + level)
+            mixer = WorkloadMixer(self._registry.all(), seed=_CHURN_SEED + level)
             churn = ChurnManager(mixer, background, thread_ids=function_threads)
             churn.attach(engine)
 

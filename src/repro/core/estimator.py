@@ -52,16 +52,6 @@ class CongestionEstimate:
     mb_weight: float
     predictions: Mapping[GeneratorKind, GeneratorPrediction]
 
-    @property
-    def private_discount(self) -> float:
-        """Discount fraction applied to the private component."""
-        return 1.0 - 1.0 / self.private_slowdown
-
-    @property
-    def shared_discount(self) -> float:
-        """Discount fraction applied to the shared component."""
-        return 1.0 - 1.0 / self.shared_slowdown
-
 
 @dataclass(frozen=True)
 class _ComponentModels:

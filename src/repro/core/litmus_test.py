@@ -90,10 +90,6 @@ class LitmusProbe:
                 f"no startup baseline for language {language.value!r}"
             ) from None
 
-    @property
-    def languages(self) -> list[Language]:
-        return list(self._baselines)
-
     def observe_measurement(self, measurement: StartupMeasurement) -> LitmusObservation:
         """Build an observation from a startup measurement."""
         language = Language(measurement.language)

@@ -1,22 +1,20 @@
-"""Persisting calibration results to disk.
+"""The calibration memo's encoder and decoder.
 
-Calibration is the expensive, offline half of Litmus pricing: a provider
-sweeps two traffic generators across stress levels on every machine
-configuration it operates.  The natural workflow is to run that sweep once,
-store the tables, and load them on the pricing path — so this module
-serializes a :class:`repro.core.calibration.CalibrationResult` (tables,
-startup baselines and reference baselines) to a JSON document and back.
+Calibration is the expensive, offline half of Litmus pricing, so
+:func:`repro.core.calibration.calibrate_cached` keeps every result in the
+``diskcache.memoized`` memo.  This module is that memo's codec: it encodes a
+:class:`repro.core.calibration.CalibrationResult` (tables, startup
+baselines and reference baselines) as a JSON-serializable dictionary and
+decodes it back for the machine the memo's identity names.
 
-Only measurement data is persisted; regression models are cheap to refit and
-are always rebuilt from the loaded tables, which keeps the stored format
+Only measurement data is encoded; regression models are cheap to refit and
+are always rebuilt from the decoded tables, which keeps the stored format
 independent of the fitting implementation.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.core.calibration import CalibrationResult, CalibrationScenario
 from repro.core.litmus_test import StartupBaseline
@@ -26,7 +24,7 @@ from repro.core.tables import (
     PerformanceObservation,
     PerformanceTable,
 )
-from repro.hardware.topology import MachineSpec, machine_by_name
+from repro.hardware.topology import MachineSpec
 from repro.platform.oracle import SoloProfile
 from repro.workloads.runtimes import Language
 from repro.workloads.traffic import GeneratorKind
@@ -89,15 +87,14 @@ def calibration_to_dict(result: CalibrationResult) -> Dict[str, object]:
 # Decoding
 # --------------------------------------------------------------------- #
 def calibration_from_dict(
-    payload: Mapping[str, object], machine: Optional[MachineSpec] = None
+    payload: Mapping[str, object], machine: MachineSpec
 ) -> CalibrationResult:
     """Rebuild a calibration result from :func:`calibration_to_dict` output.
 
-    The payload names its machine; without ``machine`` the name is looked
-    up in the machine table.  A caller that knows the spec the result was
-    computed on (the calibration cache, whose key binds the whole spec)
-    passes it, so a machine outside the table or a same-named variant comes
-    back as itself; a payload naming another machine raises ``ValueError``.
+    ``machine`` is the spec the result was computed on (the calibration
+    memo's identity binds the whole spec), so a machine outside the machine
+    table or a same-named variant comes back as itself.  The payload names
+    its machine; a payload naming another machine raises ``ValueError``.
     """
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
@@ -105,9 +102,7 @@ def calibration_from_dict(
             f"unsupported calibration format version {version!r}; "
             f"this library reads version {FORMAT_VERSION}"
         )
-    if machine is None:
-        machine = machine_by_name(payload["machine"])
-    elif payload["machine"] != machine.name:
+    if payload["machine"] != machine.name:
         raise ValueError(
             f"calibration payload is for machine {payload['machine']!r}, "
             f"not {machine.name!r}"
@@ -178,23 +173,3 @@ def calibration_from_dict(
         performance_table=performance,
         reference_slowdowns=reference_slowdowns,
     )
-
-
-# --------------------------------------------------------------------- #
-# File helpers
-# --------------------------------------------------------------------- #
-def save_calibration(result: CalibrationResult, path: str | Path) -> Path:
-    """Write a calibration result to ``path`` as JSON and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(calibration_to_dict(result), indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    return path
-
-
-def load_calibration(path: str | Path) -> CalibrationResult:
-    """Load a calibration result previously written by :func:`save_calibration`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return calibration_from_dict(payload)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.estimator import CongestionEstimate, CongestionEstimator
-from repro.core.litmus_test import LitmusObservation, LitmusProbe
+from repro.core.litmus_test import LitmusObservation
 from repro.core.sharing import Method1Adjustment
 from repro.platform.invoker import Invocation
 from repro.platform.metering import (
@@ -95,10 +95,6 @@ class CommercialPricing:
             raise ValueError("rate_per_gb_second must be positive")
         self._rate = rate_per_gb_second
 
-    @property
-    def rate_per_gb_second(self) -> float:
-        return self._rate
-
     def price(self, components: PricingComponents) -> Price:
         return Price(
             private=self._rate * components.memory_gb * components.t_private_seconds,
@@ -160,28 +156,15 @@ class LitmusPricingEngine:
     def __init__(
         self,
         estimator: CongestionEstimator,
-        probe: Optional[LitmusProbe] = None,
         *,
         base_rate_per_gb_second: float = 1.0,
         method1: Optional[Method1Adjustment] = None,
     ) -> None:
         self._estimator = estimator
-        self._probe = probe or estimator.calibration.probe()
+        self._probe = estimator.calibration.probe()
         self._commercial = CommercialPricing(base_rate_per_gb_second)
         self._base_rate = base_rate_per_gb_second
         self._method1 = method1
-
-    @property
-    def estimator(self) -> CongestionEstimator:
-        return self._estimator
-
-    @property
-    def probe(self) -> LitmusProbe:
-        return self._probe
-
-    @property
-    def method1(self) -> Optional[Method1Adjustment]:
-        return self._method1
 
     # ------------------------------------------------------------------ #
     # Quoting

@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.stats import geometric_mean
 from repro.core.litmus_test import LitmusObservation
-from repro.hardware.contention import ContentionParameters
 from repro.hardware.cpu import CPU
 from repro.hardware.topology import MachineSpec
 from repro.platform.drivers import RepeatingSubmitter, SubmitterGroup
@@ -38,6 +37,9 @@ from repro.workloads.registry import FunctionRegistry, default_registry
 
 #: Safety bound (simulated seconds) for one switching-curve measurement run.
 _MAX_RUN_SECONDS = 300.0
+
+#: The functions whose ``T_private`` inflation the switching curve averages.
+_MEASURED_FUNCTIONS = ("auth-py", "aes-go", "cur-nj")
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,8 @@ def measure_switching_curve(
     counts: Sequence[int] = (1, 2, 4, 6, 8, 10, 15, 20, 25),
     *,
     registry: Optional[FunctionRegistry] = None,
-    functions: Optional[Sequence[str]] = None,
     repetitions: int = 1,
     engine_config: Optional[EngineConfig] = None,
-    contention_parameters: Optional[ContentionParameters] = None,
     backend: str = "scalar",
 ) -> List[SwitchingCurvePoint]:
     """Measure ``T_private`` inflation versus co-located function count.
@@ -106,15 +106,9 @@ def measure_switching_curve(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     registry = registry or default_registry()
-    if functions is None:
-        functions = ["auth-py", "aes-go", "cur-nj"]
-    specs: List[FunctionSpec] = [registry.get(abbr) for abbr in functions]
+    specs: List[FunctionSpec] = [registry.get(abbr) for abbr in _MEASURED_FUNCTIONS]
     engine_config = engine_config or EngineConfig()
-    oracle = SoloOracle(
-        machine,
-        contention_parameters=contention_parameters,
-        engine_config=engine_config,
-    )
+    oracle = SoloOracle(machine, engine_config=engine_config)
 
     points: List[SwitchingCurvePoint] = []
     for count in counts:
@@ -126,7 +120,6 @@ def measure_switching_curve(
             count,
             repetitions,
             engine_config,
-            contention_parameters,
             oracle,
             backend,
         )
@@ -145,7 +138,6 @@ def _measure_inflation_at_count(
     count: int,
     repetitions: int,
     engine_config: EngineConfig,
-    contention_parameters: Optional[ContentionParameters],
     oracle: SoloOracle,
     backend: str = "scalar",
 ) -> List[float]:
@@ -159,12 +151,9 @@ def _measure_inflation_at_count(
                 epoch_seconds=engine_config.epoch_seconds,
                 fixed_point_iterations=engine_config.fixed_point_iterations,
             ),
-            contention_parameters=contention_parameters,
         )
     elif backend == "scalar":
-        cpu = CPU(
-            machine, smt_enabled=False, contention_parameters=contention_parameters
-        )
+        cpu = CPU(machine, smt_enabled=False)
         engine = SimulationEngine(
             cpu,
             LeastOccupancyScheduler(max_per_thread=max(count, 1)),

@@ -88,12 +88,6 @@ class ExperimentConfig:
     # ------------------------------------------------------------------ #
     # Derived values
     # ------------------------------------------------------------------ #
-    @property
-    def eval_thread_count(self) -> int:
-        """Hardware threads hosting functions during the evaluation."""
-        ways = 2 if self.smt_enabled else 1
-        return self.eval_physical_cores * ways
-
     def eval_thread_ids(self) -> Tuple[int, ...]:
         """The hardware-thread ids functions run on during the evaluation.
 

@@ -16,16 +16,13 @@ from repro.experiments.harness import FigureResult, calibration_for
 from repro.workloads.traffic import GeneratorKind
 
 
-def run(
-    config: Optional[ExperimentConfig] = None, stress_level: Optional[int] = None
-) -> FigureResult:
+def run(config: Optional[ExperimentConfig] = None) -> FigureResult:
     """Regenerate Figure 8 (reference slowdowns under MB-Gen)."""
     config = config or one_per_core()
     calibration = calibration_for(config)
     available = calibration.performance_table.stress_levels(GeneratorKind.MB)
-    if stress_level is None:
-        # Use the calibrated level closest to the paper's level 14.
-        stress_level = min(available, key=lambda level: abs(level - 14))
+    # Use the calibrated level closest to the paper's level 14.
+    stress_level = min(available, key=lambda level: abs(level - 14))
     per_reference = calibration.reference_slowdowns[(GeneratorKind.MB, stress_level)]
 
     rows: List[Mapping[str, object]] = []

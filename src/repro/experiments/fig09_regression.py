@@ -17,11 +17,10 @@ from repro.experiments.harness import FigureResult, calibration_for
 from repro.workloads.runtimes import Language
 
 
-def run(
-    config: Optional[ExperimentConfig] = None, language: Language = Language.PYTHON
-) -> FigureResult:
-    """Regenerate Figure 9 (startup-vs-reference regressions)."""
+def run(config: Optional[ExperimentConfig] = None) -> FigureResult:
+    """Regenerate Figure 9 (startup-vs-reference regressions) for the Python probe."""
     config = config or one_per_core()
+    language = Language.PYTHON
     calibration = calibration_for(config)
     estimator = CongestionEstimator(calibration)
 

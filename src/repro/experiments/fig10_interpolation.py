@@ -25,11 +25,10 @@ from repro.workloads.traffic import GeneratorKind
 _SAMPLES = 9
 
 
-def run(
-    config: Optional[ExperimentConfig] = None, language: Language = Language.PYTHON
-) -> FigureResult:
-    """Regenerate Figure 10 (discount vs observed L3 misses)."""
+def run(config: Optional[ExperimentConfig] = None) -> FigureResult:
+    """Regenerate Figure 10 (discount vs observed L3 misses) for the Python probe."""
     config = config or one_per_core()
+    language = Language.PYTHON
     calibration = calibration_for(config)
     estimator = CongestionEstimator(calibration)
 

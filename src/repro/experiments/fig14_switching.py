@@ -7,25 +7,19 @@ what makes Method 1's single calibration factor workable.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from repro.core.sharing import measure_switching_curve
 from repro.experiments.config import ExperimentConfig, one_per_core
 from repro.experiments.harness import FigureResult, registry_for
 from repro.platform.engine import EngineConfig
 
-DEFAULT_COUNTS: Sequence[int] = (1, 2, 4, 6, 8, 10, 15, 20, 25)
 
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    counts: Sequence[int] = DEFAULT_COUNTS,
-) -> FigureResult:
+def run(config: Optional[ExperimentConfig] = None) -> FigureResult:
     """Regenerate Figure 14 (T_private inflation vs co-located functions)."""
     config = config or one_per_core()
     points = measure_switching_curve(
         config.machine,
-        counts,
         registry=registry_for(config),
         engine_config=EngineConfig(epoch_seconds=config.epoch_seconds),
     )

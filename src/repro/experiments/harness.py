@@ -157,12 +157,6 @@ class PriceEvaluationResult:
     def max_abs_error(self) -> float:
         return max(row.errors.absolute_total_error for row in self.rows)
 
-    def row_for(self, function: str) -> PriceComparisonRow:
-        for row in self.rows:
-            if row.function == function:
-                return row
-        raise KeyError(f"no priced function named {function!r}")
-
 
 # --------------------------------------------------------------------- #
 # Shared environment plumbing

@@ -88,11 +88,11 @@ def resolve_runner(name: str) -> Callable[[], object]:
     return getattr(import_module(module_name), attribute)
 
 
-def resolve_figure_names(selection: Optional[str]) -> List[str]:
-    """Expand a ``--figures`` value (``all`` or a comma list) to job names."""
-    if selection is None or selection.strip().lower() == "all":
+def resolve_figure_names(selection: Sequence[str]) -> List[str]:
+    """Expand a ``--figures`` selection (``all`` or figure names) to job names."""
+    names = list(selection)
+    if [name.lower() for name in names] == ["all"]:
         return list(FIGURE_MODULES)
-    names = [part.strip() for part in selection.split(",") if part.strip()]
     unknown = [name for name in names if name not in FIGURE_MODULES]
     if unknown:
         known = ", ".join(sorted(FIGURE_MODULES))

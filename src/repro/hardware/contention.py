@@ -280,18 +280,6 @@ class ContentionModel:
     def parameters(self) -> ContentionParameters:
         return self._parameters
 
-    @property
-    def cache(self) -> SharedCacheModel:
-        return self._cache
-
-    @property
-    def memory(self) -> MemoryBandwidthModel:
-        return self._memory
-
-    @property
-    def ring(self) -> RingBandwidthModel:
-        return self._ring
-
     def evaluate(
         self, demands: Sequence[WorkloadDemand]
     ) -> Mapping[int, SharedResourcePenalty]:

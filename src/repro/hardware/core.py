@@ -72,17 +72,9 @@ class Core:
         return len(self.threads)
 
     @property
-    def busy_thread_count(self) -> int:
-        return sum(1 for thread in self.threads if thread.is_busy)
-
-    @property
     def occupancy(self) -> int:
         """Total invocations queued across the core's hardware threads."""
         return sum(thread.occupancy for thread in self.threads)
-
-    def smt_active(self) -> bool:
-        """True when more than one SMT context of this core has work."""
-        return self.busy_thread_count > 1
 
     def sibling_of(self, thread: HardwareThread) -> Optional[HardwareThread]:
         """Return the other SMT context of a 2-way core, if any."""

@@ -66,10 +66,6 @@ class CPU:
     def threads(self) -> List[HardwareThread]:
         return [thread for core in self._cores for thread in core]
 
-    @property
-    def thread_count(self) -> int:
-        return len(self._threads)
-
     def thread(self, thread_id: int) -> HardwareThread:
         try:
             return self._threads[thread_id]
@@ -117,9 +113,6 @@ class CPU:
     @property
     def active_thread_count(self) -> int:
         return sum(1 for thread in self._threads.values() if thread.is_busy)
-
-    def current_frequency_ghz(self) -> float:
-        return self._governor.frequency_ghz(self.active_thread_count)
 
     def smt_private_penalty(self, thread_id: int) -> float:
         """Private-resource inflation caused by an active SMT sibling.

@@ -51,14 +51,6 @@ class MemoryBandwidthModel:
         self._queueing_coefficient = queueing_coefficient
         self._max_utilization = max_utilization
 
-    @property
-    def peak_bandwidth_gbs(self) -> float:
-        return self._peak_bytes_per_second / 1e9
-
-    @property
-    def unloaded_latency_cycles(self) -> float:
-        return self._unloaded_latency_cycles
-
     def utilization_at(self, bytes_per_second: float) -> float:
         """Fraction of peak bandwidth consumed, clamped to the model maximum."""
         raw = bytes_per_second / self._peak_bytes_per_second

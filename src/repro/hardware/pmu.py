@@ -148,16 +148,6 @@ class PMUCounters:
             elapsed_seconds=self.elapsed_seconds,
         )
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.cycles = 0.0
-        self.instructions = 0.0
-        self.stall_cycles_l2_miss = 0.0
-        self.l2_misses = 0.0
-        self.l3_misses = 0.0
-        self.context_switches = 0.0
-        self.elapsed_seconds = 0.0
-
     @property
     def private_cycles(self) -> float:
         return max(self.cycles - self.stall_cycles_l2_miss, 0.0)

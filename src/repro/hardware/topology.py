@@ -86,11 +86,6 @@ class MachineSpec:
             raise ValueError("memory bandwidth must be positive")
 
     @property
-    def hardware_threads(self) -> int:
-        """Total number of hardware threads in the sharing domain."""
-        return self.cores * self.smt_ways
-
-    @property
     def memory_latency_cycles(self) -> float:
         """Unloaded DRAM latency expressed in cycles at the base frequency."""
         return self.memory_latency_ns * self.base_frequency_ghz

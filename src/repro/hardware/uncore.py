@@ -48,10 +48,6 @@ class RingBandwidthModel:
         self._max_utilization = max_utilization
 
     @property
-    def unloaded_latency_cycles(self) -> float:
-        return self._unloaded_latency_cycles
-
-    @property
     def peak_accesses_per_us(self) -> float:
         return self._peak_accesses_per_second / 1e6
 

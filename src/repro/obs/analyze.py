@@ -249,11 +249,14 @@ def render_record(kind: str, payload: Mapping[str, Any]) -> str:
     return line
 
 
+#: How long :func:`tail_records` waits before it looks for appended lines.
+_POLL_SECONDS = 0.2
+
+
 def tail_records(
     path: Path,
     *,
     follow: bool = True,
-    poll_interval_seconds: float = 0.2,
     max_seconds: Optional[float] = None,
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
     """Yield ``(kind, payload)`` as records land in a growing JSONL.
@@ -296,7 +299,7 @@ def tail_records(
             return
         if deadline is not None and time.perf_counter() >= deadline:
             return
-        time.sleep(poll_interval_seconds)
+        time.sleep(_POLL_SECONDS)
 
 
 def export_chrome_trace(path: Path, out_path: Path) -> Dict[str, Any]:

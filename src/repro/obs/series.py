@@ -98,10 +98,6 @@ class SeriesBuffer:
         self._points: List[SeriesPoint] = []
 
     @property
-    def budget(self) -> int:
-        return self._budget
-
-    @property
     def stride(self) -> int:
         """Current epoch stride (1 until the first decimation)."""
         return self._stride

@@ -112,7 +112,7 @@ class Tracer:
     The tracer keeps an open-span stack, so nested ``with`` blocks
     parent automatically; cross-process children pass the inherited
     :class:`SpanContext` explicitly.  All bookkeeping wall-clock is
-    accumulated into :attr:`overhead_seconds` (guarded by a lock).
+    accumulated (guarded by a lock) into the overhead a root span stamps.
     """
 
     def __init__(
@@ -127,11 +127,6 @@ class Tracer:
     @property
     def trace_id(self) -> str:
         return self._trace_id
-
-    @property
-    def overhead_seconds(self) -> float:
-        """Wall-clock this tracer's own bookkeeping has consumed."""
-        return self._overhead
 
     def add_overhead(self, seconds: float) -> None:
         """Fold in overhead measured elsewhere (e.g. worker span tags)."""
@@ -210,14 +205,13 @@ class Tracer:
         *,
         parent: Optional[Union[SpanContext, TraceSpan, str]] = None,
         tags: Optional[Mapping[str, Any]] = None,
-        root: bool = False,
     ) -> Iterator[TraceSpan]:
         """``with tracer.span("shard-0", tags={"phase": "shard"}):`` …"""
         span = self.start(name, parent=parent, tags=tags)
         try:
             yield span
         finally:
-            self.finish(span, root=root)
+            self.finish(span)
 
     def record(
         self,

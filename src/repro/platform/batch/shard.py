@@ -203,7 +203,6 @@ def run_sharded(
     *,
     shards: int = 1,
     backend: str = "vector",
-    max_workers: Optional[int] = None,
     metrics_queue: Optional[Any] = None,
     metrics_interval: float = 0.5,
     metrics_label: str = "",
@@ -219,9 +218,8 @@ def run_sharded(
     shard).  Results come back merged into the original scenario order,
     identical to ``sweep.run(backend)``.
 
-    ``max_workers`` caps concurrent processes (default: the shard count,
-    bounded by the CPU count); lowering it only queues shards, it cannot
-    change any result.
+    The pool has one worker process per shard, capped at the CPU count; a
+    capped pool only queues shards, it cannot change any result.
 
     ``metrics_queue`` — typically a ``multiprocessing.Manager().Queue()``
     proxy, which pickles into workers — turns on live progress snapshots:
@@ -257,8 +255,8 @@ def run_sharded(
         # One shard is the single-process run: no pool, same span.
         outcomes = [_run_shard(jobs[0])]
     else:
-        workers = max_workers or min(len(jobs), os.cpu_count() or len(jobs))
-        with ProcessPoolExecutor(max_workers=max(workers, 1)) as pool:
+        workers = min(len(jobs), os.cpu_count() or len(jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # ``map`` yields in job order, so outcome i is shard i's.
             outcomes = list(pool.map(_run_shard, jobs))
 

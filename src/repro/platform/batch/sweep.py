@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from repro.analysis.reporting import format_table
 from repro.hardware.cpu import CPU
-from repro.hardware.topology import CASCADE_LAKE_5218, MachineSpec
+from repro.hardware.topology import MachineSpec
 from repro.obs.series import SeriesPoint
 from repro.platform.batch.vector_engine import VectorEngine, VectorEngineConfig
 from repro.platform.churn import WindowedBurst
@@ -345,11 +345,11 @@ class FleetSweep:
         self,
         scenarios: Sequence[FleetScenario],
         *,
-        machine: MachineSpec = CASCADE_LAKE_5218,
-        horizon_seconds: float = 2.0,
-        epoch_seconds: float = 1e-3,
+        machine: MachineSpec,
+        horizon_seconds: float,
+        epoch_seconds: float,
+        registry_scale: float,
         registry: Optional[FunctionRegistry] = None,
-        registry_scale: float = 0.1,
         meter: bool = False,
     ) -> None:
         if not scenarios:

@@ -312,9 +312,9 @@ class VectorEngine:
     """Batched epoch engine over a fleet of independent machines.
 
     Construction parameters: ``machine`` describes the hardware every
-    fleet machine shares; ``machines`` is the fleet size (each machine is
-    an independent sharing domain); ``threads_per_machine`` defaults to
-    the machine's core count (SMT domains are rejected — scalar-only);
+    fleet machine shares, and each machine hosts functions on one hardware
+    thread per core (SMT domains are scalar-only); ``machines`` is the
+    fleet size (each machine is an independent sharing domain);
     ``materialize_handles`` chooses between full
     :class:`~repro.platform.invoker.Invocation` handles (scalar-adapter
     compatible) and bare integer indices (cheaper at fleet scale, columns
@@ -331,9 +331,7 @@ class VectorEngine:
         machine: MachineSpec,
         *,
         machines: int = 1,
-        threads_per_machine: Optional[int] = None,
         config: Optional[VectorEngineConfig] = None,
-        switching_overhead: Optional[SwitchingOverheadModel] = None,
         contention_parameters: Optional[ContentionParameters] = None,
         frequency_policy: FrequencyPolicy = FrequencyPolicy.FIXED,
         materialize_handles: bool = True,
@@ -343,13 +341,9 @@ class VectorEngine:
             raise ValueError("machines must be >= 1")
         self._machine = machine
         self._machines = machines
-        self._threads_per_machine = (
-            machine.cores if threads_per_machine is None else threads_per_machine
-        )
-        if self._threads_per_machine < 1:
-            raise ValueError("threads_per_machine must be >= 1")
+        self._threads_per_machine = machine.cores
         self._config = config or VectorEngineConfig()
-        self._switching = switching_overhead or SwitchingOverheadModel()
+        self._switching = SwitchingOverheadModel()
         self._parameters = contention_parameters or ContentionParameters()
         self._frequency_policy = frequency_policy
         self._materialize = materialize_handles
@@ -440,11 +434,6 @@ class VectorEngine:
         return self._threads_per_machine
 
     @property
-    def config(self) -> VectorEngineConfig:
-        """Time-stepping parameters (epoch length, fixed-point iterations)."""
-        return self._config
-
-    @property
     def time_seconds(self) -> float:
         """Simulated time elapsed since construction."""
         return self._time
@@ -458,11 +447,6 @@ class VectorEngine:
     def cpu(self) -> _VectorCPUFacade:
         """CPU facade for scalar drivers (single-machine adapters only)."""
         return self._cpu_facade
-
-    @property
-    def active_count(self) -> int:
-        """Invocations currently running anywhere in the fleet."""
-        return int(np.count_nonzero(self.active[: self._count]))
 
     @property
     def completed(self) -> List[object]:
@@ -501,12 +485,15 @@ class VectorEngine:
         the governed (fixed or turbo) frequency.  Restoring every machine
         to 1.0 drops the scale array entirely, so a healthy fleet pays
         nothing — and unthrottled machines are untouched even while others
-        are throttled (``x * 1.0`` is exact in IEEE-754).
+        are throttled (``x * 1.0`` is exact in IEEE-754).  A call that
+        raises changes nothing.
         """
-        if scale <= 0:
-            raise ValueError("frequency scale must be positive")
-        if isinstance(machines, int):
-            machines = (machines,)
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"frequency scale must be finite and positive, got {scale!r}")
+        machines = (machines,) if isinstance(machines, int) else tuple(machines)
+        for machine in machines:
+            if not 0 <= machine < self._machines:
+                raise ValueError(f"machine index {machine} out of range")
         if self._freq_scale is None:
             if scale == 1.0:
                 return
@@ -514,8 +501,6 @@ class VectorEngine:
         # The lane plan holds the scaled frequencies.
         self._plan = None
         for machine in machines:
-            if not 0 <= machine < self._machines:
-                raise ValueError(f"machine index {machine} out of range")
             self._freq_scale[machine] = scale
         if not np.count_nonzero(self._freq_scale != 1.0):
             self._freq_scale = None

@@ -38,10 +38,6 @@ class ChurnManager:
         self._launched = 0
 
     @property
-    def target_count(self) -> int:
-        return self._target_count
-
-    @property
     def active_count(self) -> int:
         return len(self._active)
 
@@ -115,10 +111,6 @@ class WindowedBurst:
     @property
     def completed_count(self) -> int:
         return self._completed
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
 
     def attach(self, engine: "SimulationEngine") -> None:  # noqa: F821
         """Register with an engine and launch the initial burst."""

@@ -95,7 +95,6 @@ class WorkQueueDriver:
         items: List[FunctionSpec],
         allowed_threads: List[int],
         max_per_thread: int = 1,
-        role: str = "calibration",
     ) -> None:
         if not allowed_threads:
             raise ValueError("allowed_threads must not be empty")
@@ -104,7 +103,6 @@ class WorkQueueDriver:
         self._pending: List[FunctionSpec] = list(items)
         self._allowed_threads = list(allowed_threads)
         self._max_per_thread = max_per_thread
-        self._role = role
         self._in_flight: Dict[int, Invocation] = {}
         self._completed: List[Invocation] = []
 
@@ -133,7 +131,7 @@ class WorkQueueDriver:
                 return
             spec = self._pending.pop(0)
             invocation = engine.submit(
-                spec, thread_id=thread_id, tags={"role": self._role}
+                spec, thread_id=thread_id, tags={"role": "calibration"}
             )
             self._in_flight[invocation.invocation_id] = invocation
 
@@ -168,10 +166,6 @@ class SubmitterGroup:
 
     def __init__(self, submitters: List[RepeatingSubmitter]) -> None:
         self._submitters = list(submitters)
-
-    @property
-    def submitters(self) -> List[RepeatingSubmitter]:
-        return list(self._submitters)
 
     def attach(self, engine: SimulationEngine) -> None:
         for submitter in self._submitters:

@@ -200,10 +200,6 @@ class PenaltySignatureCache:
     def converged(self) -> bool:
         return self._converged
 
-    @property
-    def signature(self) -> Optional[RunnableSignature]:
-        return self._signature
-
     def lookup(self, signature: RunnableSignature) -> Optional[ContentionResult]:
         """Return the stored result if reusable for ``signature``."""
         if self._converged and self._result is not None and signature == self._signature:
@@ -343,12 +339,11 @@ class SimulationEngine:
         cpu: CPU,
         scheduler: Scheduler,
         config: Optional[EngineConfig] = None,
-        switching_overhead: Optional[SwitchingOverheadModel] = None,
     ) -> None:
         self._cpu = cpu
         self._scheduler = scheduler
         self._config = config or EngineConfig()
-        self._switching_overhead = switching_overhead or SwitchingOverheadModel()
+        self._switching_overhead = SwitchingOverheadModel()
         self._time = 0.0
         self._next_invocation_id = 0
         self._next_sandbox_id = 0
@@ -395,16 +390,8 @@ class SimulationEngine:
         return self._config
 
     @property
-    def switching_overhead(self) -> SwitchingOverheadModel:
-        return self._switching_overhead
-
-    @property
     def time_seconds(self) -> float:
         return self._time
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._scheduler
 
     @property
     def fast_path_stats(self) -> FastPathStats:
@@ -451,10 +438,11 @@ class SimulationEngine:
         the governed frequency by ``scale``.  Changing the scale invalidates
         the fast-path caches — memoized penalty signatures and the pending
         stable span both bake in the old frequency, so replaying them would
-        no longer be bit-exact against plain stepping.
+        no longer be bit-exact against plain stepping.  A call that raises
+        changes nothing.
         """
-        if scale <= 0:
-            raise ValueError("frequency scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"frequency scale must be finite and positive, got {scale!r}")
         if scale == self._frequency_scale:
             return
         self._frequency_scale = scale

@@ -189,17 +189,6 @@ class TenantBilling:
             return 0.0
         return (self.billed_total - true) / true
 
-    def per_tenant_error(self) -> Dict[str, float]:
-        """Signed relative billing error per function, by abbreviation."""
-        true = dict(self.true_gb_seconds)
-        billed = dict(self.billed_gb_seconds)
-        errors: Dict[str, float] = {}
-        for function, charge in true.items():
-            if charge <= 0:
-                continue
-            errors[function] = (billed.get(function, 0.0) - charge) / charge
-        return errors
-
 
 class MeterFaultInjector:
     """Seeded drop/duplicate perturbation of one metering stream.

@@ -48,10 +48,6 @@ class SwitchingOverheadModel:
         growth = 1.0 - math.exp(-(co_located_functions - 1.0) / self.scale_functions)
         return 1.0 + self.amplitude * growth
 
-    def saturation_factor(self) -> float:
-        """The asymptotic overhead for a heavily shared thread."""
-        return 1.0 + self.amplitude
-
 
 class Scheduler(ABC):
     """Chooses the hardware thread a newly started invocation runs on."""
@@ -78,14 +74,6 @@ class LeastOccupancyScheduler(Scheduler):
             None if allowed_threads is None else tuple(allowed_threads)
         )
         self._max_per_thread = max_per_thread
-
-    @property
-    def allowed_threads(self) -> Optional[Sequence[int]]:
-        return self._allowed_threads
-
-    @property
-    def max_per_thread(self) -> Optional[int]:
-        return self._max_per_thread
 
     def candidate_threads(self, cpu: CPU) -> Sequence[int]:
         if self._allowed_threads is None:

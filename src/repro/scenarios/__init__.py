@@ -43,7 +43,6 @@ from repro.scenarios.spec import (
     parse_spec,
     parse_spec_text,
     preset_path,
-    schema_summary,
 )
 from repro.scenarios.trace import TraceChunk, chunk_plan, partition_plan
 
@@ -65,7 +64,6 @@ __all__ = [
     "parse_spec",
     "parse_spec_text",
     "preset_path",
-    "schema_summary",
     "TraceChunk",
     "chunk_plan",
     "partition_plan",

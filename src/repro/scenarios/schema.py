@@ -147,36 +147,28 @@ def get_str_list(
 
 
 def get_int_list(
-    table: Mapping[str, Any],
-    key: str,
-    path: str,
-    default: Any = _REQUIRED,
-    *,
-    minimum: int = 1,
+    table: Mapping[str, Any], key: str, path: str, default: Any = _REQUIRED
 ) -> Any:
+    """A non-empty list of integers, each at least 1."""
     if key not in table:
         if default is _REQUIRED:
             fail(path, f"missing required key {key!r}")
         return default
     result: List[int] = []
     for position, item in enumerate(_get_list(table, key, path)):
-        if isinstance(item, bool) or not isinstance(item, int) or item < minimum:
+        if isinstance(item, bool) or not isinstance(item, int) or item < 1:
             fail(
                 f"{path}.{key}[{position}]",
-                f"expected an integer >= {minimum}, got {item!r}",
+                f"expected an integer >= 1, got {item!r}",
             )
         result.append(item)
     return result
 
 
 def get_number_list(
-    table: Mapping[str, Any],
-    key: str,
-    path: str,
-    default: Any = _REQUIRED,
-    *,
-    minimum: float = 0.0,
+    table: Mapping[str, Any], key: str, path: str, default: Any = _REQUIRED
 ) -> Any:
+    """A non-empty list of finite numbers, none negative."""
     if key not in table:
         if default is _REQUIRED:
             fail(path, f"missing required key {key!r}")
@@ -185,8 +177,8 @@ def get_number_list(
     for position, item in enumerate(_get_list(table, key, path)):
         field = f"{path}.{key}[{position}]"
         value = _finite(item, field)
-        if value < minimum:
-            fail(field, f"expected a number >= {minimum:g}, got {item!r}")
+        if value < 0:
+            fail(field, f"expected a number >= 0, got {item!r}")
         result.append(value)
     return result
 

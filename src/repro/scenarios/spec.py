@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 try:  # Python 3.11+; JSON specs keep working on older interpreters.
     import tomllib
@@ -105,7 +105,8 @@ class MixDef:
 class ScenarioSpec:
     """A parsed, schema-valid scenario spec (registry not yet consulted).
 
-    Field defaults are the ``python -m repro sweep`` defaults: without
+    Field defaults are the defaults of a spec document (:func:`parse_spec`
+    reads them from here) and of ``python -m repro sweep``: without
     ``--spec`` the grid flags that were passed become a spec, so a spec
     only says what deviates.  Function abbreviations and the machine name
     are resolved later by :func:`compile_spec`, which raises
@@ -145,6 +146,11 @@ class ScenarioSpec:
         return len(self.mixes) * len(self.machines) * len(self.colocations)
 
 
+#: A spec that sets nothing but its name: every default of
+#: :func:`parse_spec` is one of its fields.
+_DEFAULT = ScenarioSpec(name="")
+
+
 def parse_spec(document: Mapping[str, Any], *, origin: str = "<spec>") -> ScenarioSpec:
     """Validate a decoded spec document and return the typed spec.
 
@@ -154,46 +160,44 @@ def parse_spec(document: Mapping[str, Any], *, origin: str = "<spec>") -> Scenar
     top = schema.as_table(document, origin)
     schema.check_unknown_keys(top, _TOP_LEVEL_KEYS, origin)
     name = schema.get_str(top, "name", origin)
-    description = schema.get_str(top, "description", origin, default="")
+    description = schema.get_str(top, "description", origin, default=_DEFAULT.description)
 
     sweep = schema.as_table(top.get("sweep", {}), f"{origin}.sweep")
     schema.check_unknown_keys(sweep, _SWEEP_KEYS, f"{origin}.sweep")
     horizon = schema.get_number(
-        sweep, "horizon_seconds", f"{origin}.sweep", default=2.0, positive=True
+        sweep, "horizon_seconds", f"{origin}.sweep", default=_DEFAULT.horizon_seconds, positive=True
     )
     epoch = schema.get_number(
-        sweep, "epoch_seconds", f"{origin}.sweep", default=1e-3, positive=True
+        sweep, "epoch_seconds", f"{origin}.sweep", default=_DEFAULT.epoch_seconds, positive=True
     )
     scale = schema.get_number(
-        sweep, "registry_scale", f"{origin}.sweep", default=0.1, positive=True
+        sweep, "registry_scale", f"{origin}.sweep", default=_DEFAULT.registry_scale, positive=True
     )
-    machine = schema.get_str(
-        sweep, "machine", f"{origin}.sweep", default=CASCADE_LAKE_5218.name
-    )
+    machine = schema.get_str(sweep, "machine", f"{origin}.sweep", default=_DEFAULT.machine)
     backend = schema.get_str(
-        sweep, "backend", f"{origin}.sweep", default="vector", choices=_BACKENDS
+        sweep, "backend", f"{origin}.sweep", default=_DEFAULT.backend, choices=_BACKENDS
     )
-    shards = schema.get_int(sweep, "shards", f"{origin}.sweep", default=1, minimum=1)
+    shards = schema.get_int(sweep, "shards", f"{origin}.sweep", default=_DEFAULT.shards, minimum=1)
 
     grid = schema.as_table(top.get("grid", {}), f"{origin}.grid")
     schema.check_unknown_keys(grid, _GRID_KEYS, f"{origin}.grid")
-    mixes = schema.get_str_list(grid, "mixes", f"{origin}.grid", default=["all"])
-    machines = schema.get_int_list(grid, "machines", f"{origin}.grid", default=[1])
+    mixes = schema.get_str_list(grid, "mixes", f"{origin}.grid", default=_DEFAULT.mixes)
+    machines = schema.get_int_list(grid, "machines", f"{origin}.grid", default=_DEFAULT.machines)
     colocations = schema.get_int_list(
-        grid, "colocations", f"{origin}.grid", default=[1]
+        grid, "colocations", f"{origin}.grid", default=_DEFAULT.colocations
     )
     cores = schema.get_int(
-        grid, "cores_per_machine", f"{origin}.grid", default=None, minimum=1
+        grid, "cores_per_machine", f"{origin}.grid", default=_DEFAULT.cores_per_machine, minimum=1
     )
-    seed = schema.get_int(grid, "seed", f"{origin}.grid", default=2024)
+    seed = schema.get_int(grid, "seed", f"{origin}.grid", default=_DEFAULT.seed)
 
     traffic = schema.as_table(top.get("traffic", {}), f"{origin}.traffic")
     schema.check_unknown_keys(traffic, _TRAFFIC_KEYS, f"{origin}.traffic")
     policy = schema.get_str(
-        traffic, "policy", f"{origin}.traffic", default="uniform",
+        traffic, "policy", f"{origin}.traffic", default=_DEFAULT.traffic_policy,
         choices=SPEC_TRAFFIC_POLICIES,
     )
-    trace = schema.get_str_list(traffic, "trace", f"{origin}.traffic", default=[])
+    trace = schema.get_str_list(traffic, "trace", f"{origin}.traffic", default=_DEFAULT.trace)
     if policy == "trace" and not trace:
         schema.fail(f"{origin}.traffic", "'trace' policy requires a trace list")
     if policy != "trace" and trace:
@@ -415,7 +419,6 @@ class CompiledSweep:
         backend: Optional[str] = None,
         *,
         shards: Optional[int] = None,
-        max_workers: Optional[int] = None,
         meter: bool = False,
     ) -> ShardedSweepResult:
         """Execute the compiled grid, partitioned over ``shards`` workers.
@@ -428,7 +431,6 @@ class CompiledSweep:
             self.sweep(meter=meter),
             shards=self.spec.shards if shards is None else shards,
             backend=backend or self.spec.backend,
-            max_workers=max_workers,
         )
 
 
@@ -533,30 +535,3 @@ def load_spec_or_preset(target: "Path | str") -> ScenarioSpec:
     if path.suffix or path.is_file():
         return load_spec(path)
     return load_preset(str(target))
-
-
-_SPEC_SCHEMA_DOC: Dict[str, Tuple[str, ...]] = {
-    "top-level": _TOP_LEVEL_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "grid": _GRID_KEYS,
-    "traffic": _TRAFFIC_KEYS,
-    "mixes.<name>": _MIX_KEYS,
-    "faults[]": (
-        "type (churn-spike|noisy-neighbor|freq-throttle|meter-drop|meter-dup)",
-        "scenario",
-        "start_seconds",
-        "duration_seconds",
-        "count",
-        "factor",
-        "probability",
-        "functions",
-        "seed",
-    ),
-}
-
-
-def schema_summary() -> str:
-    """One-line-per-table summary of the accepted spec keys (for --help)."""
-    return "; ".join(
-        f"[{table}] {', '.join(keys)}" for table, keys in _SPEC_SCHEMA_DOC.items()
-    )

@@ -74,14 +74,14 @@ class StreamReplay:
 
     Construction performs the batch sweep's full setup (a
     :class:`~repro.platform.batch.VectorDrive`) but steps zero epochs;
-    :meth:`ingest` / :meth:`advance_epochs` move time forward.  ``meter``
-    defaults to True — a billing service that does not meter is not
-    billing — and matches the batch reference runs the differential tests
+    :meth:`ingest` / :meth:`advance_epochs` move time forward.  A stream
+    is always metered — a billing service that does not meter is not
+    billing — like the batch reference runs the differential tests
     compare against (``FleetSweep(meter=True)``).
     """
 
-    def __init__(self, compiled: CompiledSweep, *, meter: bool = True) -> None:
-        self._drive = VectorDrive(compiled.sweep(meter=meter), STREAM_BACKEND)
+    def __init__(self, compiled: CompiledSweep) -> None:
+        self._drive = VectorDrive(compiled.sweep(meter=True), STREAM_BACKEND)
         self._fingerprint = diskcache.fingerprint(compiled.spec)
         self._chunks_ingested = 0
         self._wall_seconds = 0.0
@@ -194,10 +194,11 @@ class StreamReplay:
         self._chunks_ingested += 1
         return self._chunk_result(chunk.index, epochs)
 
-    def drain(self, *, chunk_index: int = -1) -> ChunkResult:
+    def drain(self) -> ChunkResult:
         """Run any residual epochs to the horizon and flush final deltas.
 
-        The chunk plan is built from the *nominal* epoch count; float
+        The result's chunk index is -1, as no chunk of the plan holds these
+        epochs.  The chunk plan is built from the *nominal* epoch count; float
         accumulation in the epoch clock can leave the true count one off
         either way, so completion is always decided by :attr:`finished`,
         never by epoch arithmetic.
@@ -205,7 +206,7 @@ class StreamReplay:
         epochs = 0
         while not self.finished:
             epochs += self.advance_epochs(1024)
-        return self._chunk_result(chunk_index, epochs)
+        return self._chunk_result(-1, epochs)
 
     # ------------------------------------------------------------------ #
     # Results

@@ -30,11 +30,9 @@ from repro.workloads.registry import (
 from repro.workloads.traffic import (
     GeneratorKind,
     TrafficGenerator,
-    ct_gen,
-    mb_gen,
     generator,
 )
-from repro.workloads.synthetic import WorkloadMixer, memory_intensive_subset
+from repro.workloads.synthetic import WorkloadMixer
 
 __all__ = [
     "ExecutionPhase",
@@ -51,9 +49,6 @@ __all__ = [
     "test_functions",
     "GeneratorKind",
     "TrafficGenerator",
-    "ct_gen",
-    "mb_gen",
     "generator",
     "WorkloadMixer",
-    "memory_intensive_subset",
 ]

@@ -167,9 +167,6 @@ class FunctionRegistry:
     def by_language(self, language: Language) -> List[FunctionSpec]:
         return [spec for spec in self._specs.values() if spec.language == language]
 
-    def by_suite(self, suite: str) -> List[FunctionSpec]:
-        return [spec for spec in self._specs.values() if spec.suite == suite]
-
     def memory_intensive(self) -> List[FunctionSpec]:
         """The eight high-L2-miss functions used for heavy congestion."""
         return [self.get(abbr) for abbr in MEMORY_INTENSIVE_ABBREVIATIONS]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.workloads.phases import ExecutionPhase, PhaseKind, ResourceProfile
 
@@ -226,8 +226,3 @@ _RUNTIMES = {
 def runtime_for(language: Language) -> LanguageRuntime:
     """Return the runtime model for ``language``."""
     return _RUNTIMES[language]
-
-
-def all_runtimes() -> Sequence[LanguageRuntime]:
-    """All three runtime models, in a stable order."""
-    return tuple(_RUNTIMES[lang] for lang in Language)

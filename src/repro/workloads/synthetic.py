@@ -3,8 +3,7 @@
 The paper's evaluation keeps a fixed number of co-running functions alive by
 launching a randomly selected benchmark whenever one finishes.  The
 :class:`WorkloadMixer` provides that random selection (deterministically,
-from a seed) plus helpers for building the skewed mixes used by individual
-experiments, such as the memory-intensive mix of the heavy-congestion study.
+from a seed, optionally weighted).
 
 Scenario specs (:mod:`repro.scenarios`) describe churn traffic declaratively
 with a :class:`TrafficModel` — a frozen, picklable value object naming a
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.workloads.function import FunctionSpec
-from repro.workloads.registry import FunctionRegistry, default_registry
 
 #: Draw policies a :class:`TrafficModel` understands.
 TRAFFIC_POLICIES = ("uniform", "weighted", "round-robin", "trace")
@@ -46,10 +44,6 @@ class WorkloadMixer:
         self._pool = list(pool)
         self._weights = list(weights) if weights is not None else None
         self._rng = random.Random(seed)
-
-    @property
-    def pool(self) -> List[FunctionSpec]:
-        return list(self._pool)
 
     def next(self) -> FunctionSpec:
         """Draw the next co-runner."""
@@ -78,10 +72,6 @@ class SequenceMixer:
             raise ValueError("the mixer sequence must not be empty")
         self._sequence = list(sequence)
         self._cursor = 0
-
-    @property
-    def sequence(self) -> List[FunctionSpec]:
-        return list(self._sequence)
 
     def next(self) -> FunctionSpec:
         """Return the next spec in the cycle."""
@@ -189,34 +179,3 @@ class TrafficModel:
                 )
             resolved.append(by_abbreviation[token])
         return SequenceMixer(resolved)
-
-
-def memory_intensive_subset(
-    registry: Optional[FunctionRegistry] = None,
-) -> List[FunctionSpec]:
-    """The eight functions with the highest L2 miss pressure (Figure 17 mix)."""
-    registry = registry or default_registry()
-    return registry.memory_intensive()
-
-
-def round_robin_fill(
-    pool: Sequence[FunctionSpec], count: int, seed: int = 2024
-) -> List[FunctionSpec]:
-    """Return ``count`` specs cycling through a shuffled copy of ``pool``.
-
-    Used when an experiment wants every benchmark represented roughly
-    equally among the co-runners rather than an independent random draw.
-    """
-    if not pool:
-        raise ValueError("pool must not be empty")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = random.Random(seed)
-    shuffled = list(pool)
-    rng.shuffle(shuffled)
-    result: List[FunctionSpec] = []
-    index = 0
-    while len(result) < count:
-        result.append(shuffled[index % len(shuffled)])
-        index += 1
-    return result

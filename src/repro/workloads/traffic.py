@@ -107,16 +107,6 @@ class TrafficGenerator:
         return specs
 
 
-def ct_gen(threads: int) -> TrafficGenerator:
-    """CT-Gen at the given stress level (L2-miss / L3-hit traffic)."""
-    return TrafficGenerator(kind=GeneratorKind.CT, threads=threads)
-
-
-def mb_gen(threads: int) -> TrafficGenerator:
-    """MB-Gen at the given stress level (L3-miss / DRAM-bandwidth traffic)."""
-    return TrafficGenerator(kind=GeneratorKind.MB, threads=threads)
-
-
 def generator(kind: GeneratorKind, threads: int) -> TrafficGenerator:
     """Construct a generator of either kind at a stress level."""
     return TrafficGenerator(kind=kind, threads=threads)

@@ -4,8 +4,8 @@
 import pytest
 
 from repro.analysis.errors import price_error_breakdown
-from repro.analysis.reporting import format_series, format_table
-from repro.analysis.stats import geometric_mean, normalize, safe_ratio, weighted_mean
+from repro.analysis.reporting import format_table
+from repro.analysis.stats import geometric_mean
 
 
 class TestStats:
@@ -22,22 +22,6 @@ class TestStats:
     def test_geometric_mean_below_arithmetic(self):
         values = [1.0, 2.0, 10.0]
         assert geometric_mean(values) < sum(values) / len(values)
-
-    def test_weighted_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 3.0]) == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
-
-    def test_safe_ratio(self):
-        assert safe_ratio(4, 2) == 2
-        assert safe_ratio(4, 0, default=-1) == -1
-
-    def test_normalize(self):
-        assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-        with pytest.raises(ValueError):
-            normalize([1.0], 0.0)
 
 
 class TestPriceErrorBreakdown:
@@ -118,13 +102,3 @@ class TestReporting:
     def test_format_table_renders_booleans(self):
         text = format_table([{"ref": True}], ["ref"])
         assert "yes" in text
-
-    def test_format_series(self):
-        text = format_series(
-            {"litmus": [0.9, 0.8], "ideal": [0.92, 0.83]},
-            x_label="level",
-            x_values=[1, 2],
-        )
-        assert "level" in text
-        assert "0.9000" in text
-        assert len(text.splitlines()) == 4

@@ -14,7 +14,6 @@ from repro.calibrate import (
     get_param,
     list_profiles,
     load_profile,
-    no_drift,
     numeric_paths,
     perturbed,
     profile_by_name,
@@ -181,7 +180,7 @@ def test_drift_injector_composes_multiplicatively():
 
 
 def test_no_drift_injector_is_inert():
-    injector = no_drift(default_profile())
+    injector = DriftInjector(default_profile(), ())
     assert injector.boundaries(0.0, 100.0) == []
     assert not injector.drifted(100.0)
     assert injector.profile_at(50.0) == default_profile()

@@ -78,3 +78,15 @@ def test_integer_flags_are_checked_when_parsed(argv, flag, capsys):
 
 def test_stream_has_no_queue_depth(capsys):
     assert "--queue-depth" in _refused(["stream", "--spec", "smoke", "--queue-depth", "4"], capsys)
+
+
+@pytest.mark.parametrize("selection", [" , ", ""])
+def test_run_figures_refuses_an_empty_selection(selection, tmp_path, capsys):
+    """A selection naming no figure would regenerate nothing and pass ``--check``."""
+    bench = tmp_path / "bench.json"
+    argv = [
+        "run", "--figures", selection, "--check",
+        "--results-dir", str(tmp_path), "--bench-json", str(bench),
+    ]
+    assert "argument --figures:" in _refused(argv, capsys)
+    assert not bench.exists()

@@ -77,7 +77,8 @@ class TestCalibrationResult:
 
     def test_probe_round_trip(self, small_calibration):
         probe = small_calibration.probe()
-        assert set(probe.languages) == set(Language)
+        for language in Language:
+            assert probe.baseline(language) == small_calibration.startup_baselines[language]
 
     def test_per_reference_slowdowns_recorded(self, small_calibration, small_registry):
         key = (GeneratorKind.MB, 12)
@@ -160,8 +161,6 @@ class TestCongestionEstimator:
         estimate = small_estimator.estimate(observation)
         assert estimate.private_slowdown >= 1.0
         assert estimate.shared_slowdown >= 1.0
-        assert estimate.private_discount >= 0.0
-        assert estimate.shared_discount >= 0.0
 
     def test_unknown_language_model_raises(self, small_estimator):
         with pytest.raises(KeyError):

@@ -1,9 +1,8 @@
-"""Tests for the pricing engines (commercial, ideal, Litmus, POPPA, Method 1)."""
+"""Tests for the pricing engines (commercial, ideal, Litmus, Method 1)."""
 
 import pytest
 
 from repro.core.litmus_test import LitmusObservation
-from repro.core.poppa import PoppaPricing
 from repro.core.pricing import (
     CommercialPricing,
     IdealPricing,
@@ -18,7 +17,7 @@ from repro.platform.engine import SimulationEngine
 from repro.platform.metering import measure_invocation
 from repro.platform.scheduler import DedicatedCoreScheduler
 from repro.workloads.runtimes import Language
-from repro.workloads.traffic import mb_gen
+from repro.workloads.traffic import GeneratorKind, generator
 
 
 class TestChargingRate:
@@ -68,7 +67,7 @@ def congested_invocation():
     spec = default_registry().scaled(0.25).get("aes-py")
     engine = SimulationEngine(CPU(CASCADE_LAKE_5218), DedicatedCoreScheduler())
     victim = engine.submit(spec, thread_id=0)
-    for index, gen_spec in enumerate(mb_gen(10).thread_specs()):
+    for index, gen_spec in enumerate(generator(GeneratorKind.MB, 10).thread_specs()):
         engine.submit(gen_spec, thread_id=index + 1)
     assert engine.run_until(lambda e: victim.is_completed, max_seconds=60.0)
     return victim
@@ -142,28 +141,3 @@ class TestMethod1Adjustment:
         with pytest.raises(ValueError):
             Method1Adjustment(functions_per_thread=0)
 
-
-class TestPoppaPricing:
-    def test_quote_matches_ideal_and_accounts_overhead(self, small_oracle, small_registry, congested_invocation):
-        solo = small_oracle.profile(small_registry.get("aes-py"))
-        measurement = measure_invocation(congested_invocation)
-        poppa = PoppaPricing(sampling_interval_seconds=0.01, sample_window_seconds=0.001)
-        quote = poppa.quote(measurement, solo, co_running_functions=10)
-        assert quote.price.total <= quote.commercial.total
-        assert quote.measured_slowdown >= 1.0
-        assert quote.sample_count >= 1
-        assert quote.sampling_overhead_core_seconds > 0
-        assert quote.discount == pytest.approx(1.0 - 1.0 / quote.measured_slowdown, rel=1e-6)
-
-    def test_litmus_has_no_sampling_overhead_poppa_does(self, small_oracle, small_registry, congested_invocation):
-        # The central practicality claim: POPPA stalls co-runners, Litmus does not.
-        solo = small_oracle.profile(small_registry.get("aes-py"))
-        measurement = measure_invocation(congested_invocation)
-        quote = PoppaPricing().quote(measurement, solo, co_running_functions=100)
-        assert quote.sampling_overhead_core_seconds > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PoppaPricing(sampling_interval_seconds=0.001, sample_window_seconds=0.01)
-        with pytest.raises(ValueError):
-            PoppaPricing(rate_per_gb_second=0)

@@ -43,13 +43,6 @@ class TestPMUCounters:
         assert a.instructions == 20
         assert a.context_switches == 1
 
-    def test_reset(self):
-        pmu = PMUCounters()
-        pmu.observe(cycles=10, elapsed_seconds=1.0)
-        pmu.reset()
-        assert pmu.cycles == 0
-        assert pmu.elapsed_seconds == 0
-
 
 class TestCounterSnapshot:
     def test_snapshot_is_immutable_copy(self):

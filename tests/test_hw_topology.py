@@ -39,9 +39,6 @@ class TestMachineSpec:
         assert ICE_LAKE_4314.cores < CASCADE_LAKE_5218.cores
         assert ICE_LAKE_4314.memory_gb < CASCADE_LAKE_5218.memory_gb
 
-    def test_hardware_threads(self):
-        assert CASCADE_LAKE_5218.hardware_threads == 64
-
     def test_memory_latency_cycles_scales_with_frequency(self):
         machine = CASCADE_LAKE_5218
         assert machine.memory_latency_cycles == pytest.approx(

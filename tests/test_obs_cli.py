@@ -116,6 +116,7 @@ class TestBitExactness:
     """Telemetry must be read-only: same numbers with it on or off."""
 
     def test_sweep_identical_with_and_without_telemetry(self):
+        from repro.hardware.topology import CASCADE_LAKE_5218
         from repro.obs import Tracer
         from repro.platform.batch import FleetSweep, run_sharded
         from repro.scenarios import ScenarioSpec, expand_grid
@@ -123,7 +124,13 @@ class TestBitExactness:
         grid = expand_grid(
             ScenarioSpec(name="grid", machines=(1, 2), cores_per_machine=3, seed=5)
         )
-        sweep = FleetSweep(grid, horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05)
+        sweep = FleetSweep(
+            grid,
+            machine=CASCADE_LAKE_5218,
+            horizon_seconds=0.2,
+            epoch_seconds=1e-3,
+            registry_scale=0.05,
+        )
 
         plain = run_sharded(sweep, shards=1, backend="vector")
 

@@ -9,7 +9,7 @@ from repro.platform.invoker import InvocationState
 from repro.platform.metering import measure_invocation
 from repro.platform.scheduler import DedicatedCoreScheduler, LeastOccupancyScheduler
 from repro.workloads.registry import default_registry
-from repro.workloads.traffic import mb_gen
+from repro.workloads.traffic import GeneratorKind, generator
 
 
 @pytest.fixture()
@@ -98,7 +98,7 @@ class TestContentionEffects:
 
         congested_engine = make_engine()
         victim = congested_engine.submit(heavy_spec, thread_id=0)
-        for index, gen_spec in enumerate(mb_gen(16).thread_specs()):
+        for index, gen_spec in enumerate(generator(GeneratorKind.MB, 16).thread_specs()):
             congested_engine.submit(gen_spec, thread_id=index + 1)
         congested_engine.run_until(lambda e: victim.is_completed, max_seconds=40.0)
 
@@ -112,7 +112,7 @@ class TestContentionEffects:
         solo_engine.run_until(lambda e: solo.is_completed, max_seconds=20.0)
         congested_engine = make_engine()
         victim = congested_engine.submit(heavy_spec, thread_id=0)
-        for index, gen_spec in enumerate(mb_gen(16).thread_specs()):
+        for index, gen_spec in enumerate(generator(GeneratorKind.MB, 16).thread_specs()):
             congested_engine.submit(gen_spec, thread_id=index + 1)
         congested_engine.run_until(lambda e: victim.is_completed, max_seconds=40.0)
 

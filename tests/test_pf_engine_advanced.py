@@ -13,7 +13,7 @@ from repro.platform.metering import measure_invocation
 from repro.platform.scheduler import DedicatedCoreScheduler, LeastOccupancyScheduler
 from repro.workloads.function import PhaseCursor
 from repro.workloads.registry import default_registry
-from repro.workloads.traffic import ct_gen
+from repro.workloads.traffic import GeneratorKind, generator
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ class TestTurboFrequency:
 class TestTrafficGeneratorExecution:
     def test_generators_never_finish_and_are_not_probed(self):
         engine = SimulationEngine(CPU(CASCADE_LAKE_5218), DedicatedCoreScheduler())
-        generator_spec = ct_gen(1).thread_specs()[0]
+        generator_spec = generator(GeneratorKind.CT, 1).thread_specs()[0]
         invocation = engine.submit(generator_spec, thread_id=0)
         engine.run_for(0.05)
         assert invocation.state is InvocationState.RUNNING
@@ -66,7 +66,7 @@ class TestTrafficGeneratorExecution:
         assert invocation.counters.instructions > 0
 
     def test_generator_cursor_reports_startup_complete(self):
-        cursor = PhaseCursor(ct_gen(1).thread_specs()[0])
+        cursor = PhaseCursor(generator(GeneratorKind.CT, 1).thread_specs()[0])
         assert cursor.startup_complete
         assert not cursor.finished
 

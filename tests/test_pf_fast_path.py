@@ -26,7 +26,7 @@ from repro.workloads.function import FunctionSpec
 from repro.workloads.phases import ExecutionPhase, PhaseKind, ResourceProfile
 from repro.workloads.registry import default_registry
 from repro.workloads.runtimes import Language
-from repro.workloads.traffic import GeneratorKind, ct_gen, generator
+from repro.workloads.traffic import GeneratorKind, generator
 
 
 def _result(*workload_ids: int, hit: float = 0.5) -> ContentionResult:
@@ -180,7 +180,7 @@ class TestTwinCatchUp:
             config=EngineConfig(fast_path=fast_path),
         )
         # Three CT-Gen threads (one leader, two twins) next to a probe.
-        for spec, thread_id in zip(ct_gen(3).thread_specs(), (8, 9, 10)):
+        for spec, thread_id in zip(generator(GeneratorKind.CT, 3).thread_specs(), (8, 9, 10)):
             engine.submit(spec, thread_id=thread_id, tags={"role": "generator"})
         engine.submit(probe_spec(Language.PYTHON), thread_id=0)
         return engine
@@ -296,7 +296,7 @@ class TestFixedPointInputs:
         # Two CT-Gen threads form a twin class next to two functions that
         # cross phases (at 2, 3, 4 and 9 ms, then after the throttle)
         # without a runnable-set change in between.
-        for spec in ct_gen(2).thread_specs():
+        for spec in generator(GeneratorKind.CT, 2).thread_specs():
             engine.submit(spec, tags={"role": "generator"})
         registry = default_registry()
         invocations = [engine.submit(registry.get(name)) for name in ("auth-py", "fib-go")]
@@ -363,7 +363,7 @@ class TestFixedPointInputs:
                 DedicatedCoreScheduler(),
                 config=EngineConfig(fast_path=fast_path),
             )
-            for generator_spec in ct_gen(2).thread_specs():
+            for generator_spec in generator(GeneratorKind.CT, 2).thread_specs():
                 engine.submit(generator_spec, tags={"role": "generator"})
             invocation = engine.submit(spec)
             assert engine.run_until(lambda e: invocation.is_completed, max_seconds=10.0)

@@ -12,7 +12,7 @@ from repro.platform.sandbox import Sandbox
 from repro.platform.scheduler import DedicatedCoreScheduler
 from repro.workloads.registry import default_registry
 from repro.workloads.runtimes import Language
-from repro.workloads.traffic import ct_gen
+from repro.workloads.traffic import GeneratorKind, generator
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestSoloOracle:
     def test_rejects_traffic_generators(self):
         oracle = SoloOracle(CASCADE_LAKE_5218)
         with pytest.raises(ValueError):
-            oracle.profile(ct_gen(1).thread_specs()[0])
+            oracle.profile(generator(GeneratorKind.CT, 1).thread_specs()[0])
 
     def test_different_machines_give_different_times(self, tiny_registry):
         spec = tiny_registry.get("recogn-py")

@@ -33,7 +33,7 @@ class TestSwitchingOverheadModel:
         model = SwitchingOverheadModel()
         factors = [model.factor(n) for n in (1, 2, 5, 10, 20, 40)]
         assert factors == sorted(factors)
-        assert factors[-1] <= model.saturation_factor() + 1e-9
+        assert factors[-1] <= 1.0 + model.amplitude + 1e-9
         # Figure 14: roughly +2.5 % at ten co-located functions.
         assert model.factor(10) == pytest.approx(1.023, abs=0.005)
 

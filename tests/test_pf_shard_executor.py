@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.hardware.topology import CASCADE_LAKE_5218
 from repro.platform.batch import (
     FleetScenario,
     FleetSweep,
@@ -14,7 +15,9 @@ from repro.platform.batch import (
 )
 from repro.scenarios import ScenarioSpec, compile_spec, expand_grid, load_preset
 
-TINY = dict(horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05)
+TINY = dict(
+    machine=CASCADE_LAKE_5218, horizon_seconds=0.2, epoch_seconds=1e-3, registry_scale=0.05
+)
 
 
 def tiny_grid():

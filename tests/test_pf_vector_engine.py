@@ -19,6 +19,7 @@ from repro.platform.engine import EngineConfig, SimulationEngine
 from repro.platform.scheduler import DedicatedCoreScheduler, LeastOccupancyScheduler
 from repro.workloads.registry import default_registry
 from repro.workloads.synthetic import WorkloadMixer
+from repro.workloads.traffic import GeneratorKind, generator
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +289,46 @@ class TestTurboAgreement:
             )
 
 
+class TestFrequencyScaleChecks:
+    """A refused ``set_frequency_scale`` call leaves every clock as it was."""
+
+    @pytest.mark.parametrize(
+        "backend, args",
+        [
+            ("vector", ([0, 5], 0.5)),
+            ("vector", (0, float("nan"))),
+            ("vector", (1, float("inf"))),
+            ("scalar", (float("nan"),)),
+            ("scalar", (float("inf"),)),
+        ],
+        ids=["vector-bad-index", "vector-nan", "vector-inf", "scalar-nan", "scalar-inf"],
+    )
+    def test_refused_call_changes_no_scale(self, backend, args):
+        spec = generator(GeneratorKind.CT, 1).thread_specs()[0]
+
+        def build():
+            if backend == "scalar":
+                engine = _scalar_engine()
+                engine.submit(spec, thread_id=0)
+            else:
+                engine = VectorEngine(CASCADE_LAKE_5218, machines=2)
+                for machine in (0, 1):
+                    engine.submit(spec, machine=machine, thread_id=0)
+            return engine
+
+        def counters(engine):
+            for _ in range(20):
+                engine.run_epoch()
+            if backend == "scalar":
+                return [engine.cpu.global_counters.snapshot()]
+            return [engine.machine_counters(machine) for machine in (0, 1)]
+
+        refused = build()
+        with pytest.raises(ValueError):
+            refused.set_frequency_scale(*args)
+        assert counters(refused) == counters(build())
+
+
 class TestMultiMachine:
     def test_machines_are_independent(self, registry):
         spec_a = registry.get("pager-py")
@@ -321,7 +362,9 @@ class TestFleetSweep:
     def test_backends_agree(self):
         sweep = FleetSweep(
             [FleetScenario(name="t", machines=2, colocation=2, cores_per_machine=3)],
+            machine=CASCADE_LAKE_5218,
             horizon_seconds=0.25,
+            epoch_seconds=1e-3,
             registry_scale=0.05,
         )
         vector = sweep.run("vector")
@@ -336,7 +379,9 @@ class TestFleetSweep:
     def test_render_mentions_fleet_size(self):
         sweep = FleetSweep(
             [FleetScenario(name="r", machines=1, colocation=1, cores_per_machine=2)],
+            machine=CASCADE_LAKE_5218,
             horizon_seconds=0.05,
+            epoch_seconds=1e-3,
             registry_scale=0.05,
         )
         result = sweep.run("vector")
@@ -346,7 +391,11 @@ class TestFleetSweep:
 
     def test_unknown_backend_rejected(self):
         sweep = FleetSweep(
-            [FleetScenario(name="x")], horizon_seconds=0.05, registry_scale=0.05
+            [FleetScenario(name="x")],
+            machine=CASCADE_LAKE_5218,
+            horizon_seconds=0.05,
+            epoch_seconds=1e-3,
+            registry_scale=0.05,
         )
         with pytest.raises(ValueError):
             sweep.run("gpu")

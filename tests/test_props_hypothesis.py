@@ -28,7 +28,7 @@ from repro.platform.engine import EngineConfig, SimulationEngine
 from repro.platform.scheduler import LeastOccupancyScheduler, SwitchingOverheadModel
 from repro.workloads.registry import default_registry
 from repro.workloads.synthetic import WorkloadMixer
-from repro.workloads.traffic import ct_gen
+from repro.workloads.traffic import GeneratorKind, generator
 
 _MODEL = ContentionModel(CASCADE_LAKE_5218)
 
@@ -219,7 +219,7 @@ def test_switching_overhead_monotone(count_a, count_b):
     model = SwitchingOverheadModel()
     low, high = sorted((count_a, count_b))
     assert model.factor(low) <= model.factor(high) + 1e-12
-    assert model.factor(high) <= model.saturation_factor() + 1e-12
+    assert model.factor(high) <= 1.0 + model.amplitude + 1e-12
 
 
 @given(
@@ -284,7 +284,7 @@ def _run_schedule(
         LeastOccupancyScheduler(allowed_threads=threads, max_per_thread=8),
         config=EngineConfig(fast_path=fast_path),
     )
-    for spec, thread_id in zip(ct_gen(generators).thread_specs(), (8, 9, 10)):
+    for spec, thread_id in zip(generator(GeneratorKind.CT, generators).thread_specs(), (8, 9, 10)):
         engine.submit(spec, thread_id=thread_id, tags={"role": "generator"})
     if churn:
         mixer = WorkloadMixer(_PROP_SPECS, seed=7)

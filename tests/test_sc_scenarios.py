@@ -52,6 +52,10 @@ class TestParsing:
         assert spec.backend == "vector"
         assert spec.shards == 1
 
+    def test_name_only_document_parses_to_the_field_defaults(self):
+        assert parse_spec({"name": "t"}) == ScenarioSpec(name="t")
+        assert parse_spec_text(MINIMAL) == ScenarioSpec(name="t")
+
     def test_full_document(self):
         spec = parse_spec_text(COOKBOOK)
         assert spec.grid_size == 8

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads.phases import ExecutionPhase, PhaseKind, ResourceProfile
-from repro.workloads.runtimes import Language, all_runtimes, runtime_for
+from repro.workloads.runtimes import Language, runtime_for
 
 
 def profile(**kwargs):
@@ -55,10 +55,11 @@ class TestExecutionPhase:
 
 class TestLanguageRuntimes:
     def test_all_three_runtimes_exist(self):
-        assert {runtime.language for runtime in all_runtimes()} == set(Language)
+        assert {runtime_for(language).language for language in Language} == set(Language)
 
     def test_startup_phases_are_startup_kind(self):
-        for runtime in all_runtimes():
+        for language in Language:
+            runtime = runtime_for(language)
             assert all(p.kind is PhaseKind.STARTUP for p in runtime.startup_phases)
 
     def test_python_startup_instruction_budget_matches_paper(self):

@@ -12,8 +12,8 @@ from repro.workloads.registry import (
     test_functions as registry_test_functions,
 )
 from repro.workloads.runtimes import Language
-from repro.workloads.synthetic import WorkloadMixer, memory_intensive_subset, round_robin_fill
-from repro.workloads.traffic import GeneratorKind, ct_gen, mb_gen, stress_levels
+from repro.workloads.synthetic import WorkloadMixer
+from repro.workloads.traffic import GeneratorKind, generator, stress_levels
 
 
 class TestRegistryContents:
@@ -37,16 +37,16 @@ class TestRegistryContents:
                 assert f"{base}-{suffix}" in registry
 
     def test_suites_present(self, registry):
-        assert len(registry.by_suite("sebs")) == 8
-        assert len(registry.by_suite("functionbench")) == 5
-        assert len(registry.by_suite("hotel-reservation")) == 3
-        assert len(registry.by_suite("online-boutique")) == 2
+        suites = [spec.suite for spec in registry]
+        assert suites.count("sebs") == 8
+        assert suites.count("functionbench") == 5
+        assert suites.count("hotel-reservation") == 3
+        assert suites.count("online-boutique") == 2
 
     def test_memory_intensive_set(self, registry):
         subset = registry.memory_intensive()
         assert len(subset) == 8
         assert {s.abbreviation for s in subset} == set(MEMORY_INTENSIVE_ABBREVIATIONS)
-        assert memory_intensive_subset() == subset
 
     def test_compute_bound_functions_have_tiny_miss_rates(self, registry):
         float_py = registry.get("float-py")
@@ -88,18 +88,18 @@ class TestRegistryOperations:
 
 class TestTrafficGenerators:
     def test_thread_specs_count_matches_level(self):
-        assert len(ct_gen(5).thread_specs()) == 5
-        assert len(mb_gen(0).thread_specs()) == 0
+        assert len(generator(GeneratorKind.CT, 5).thread_specs()) == 5
+        assert len(generator(GeneratorKind.MB, 0).thread_specs()) == 0
 
     def test_generator_specs_are_flagged(self):
-        for spec in ct_gen(3).thread_specs():
+        for spec in generator(GeneratorKind.CT, 3).thread_specs():
             assert spec.is_traffic_generator
             assert spec.suite == "traffic-generator"
             assert isinstance(spec, FunctionSpec)
 
     def test_ct_gen_hits_l3_mb_gen_misses(self):
-        ct_profile = ct_gen(1).profile
-        mb_profile = mb_gen(1).profile
+        ct_profile = generator(GeneratorKind.CT, 1).profile
+        mb_profile = generator(GeneratorKind.MB, 1).profile
         assert ct_profile.solo_l3_hit_fraction > 0.9
         assert mb_profile.solo_l3_hit_fraction < 0.3
         assert mb_profile.working_set_mb > CASCADE_L3_MB_APPROX()
@@ -112,8 +112,8 @@ class TestTrafficGenerators:
             stress_levels(0)
 
     def test_generator_kinds(self):
-        assert ct_gen(2).kind is GeneratorKind.CT
-        assert mb_gen(2).kind is GeneratorKind.MB
+        assert generator(GeneratorKind.CT, 2).kind is GeneratorKind.CT
+        assert generator(GeneratorKind.MB, 2).kind is GeneratorKind.MB
 
 
 def CASCADE_L3_MB_APPROX():
@@ -137,13 +137,3 @@ class TestWorkloadMixer:
             WorkloadMixer(pool, weights=[1.0])
         with pytest.raises(ValueError):
             WorkloadMixer([])
-
-    def test_round_robin_fill_covers_pool(self, registry):
-        pool = registry.all()
-        filled = round_robin_fill(pool, count=54, seed=3)
-        assert len(filled) == 54
-        # Every benchmark appears exactly twice when count == 2 * len(pool).
-        counts = {}
-        for spec in filled:
-            counts[spec.abbreviation] = counts.get(spec.abbreviation, 0) + 1
-        assert set(counts.values()) == {2}
